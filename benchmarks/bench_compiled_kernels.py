@@ -5,9 +5,8 @@ Not a paper table: this bench pins the ``compiled`` kernel backend
 ``ctypes``) against the numpy hot paths it replaces, at the service's
 reference shape (N=32 states, M=64 symbols, W=15 windows):
 
-* **per-event streaming** — ``StreamingScorer`` with
-  ``kernel_backend="compiled"`` versus the numpy incremental filter —
-  target >= 2x events/s;
+* **per-event streaming** — ``streaming_step`` through the compiled
+  backend versus the numpy incremental filter — target >= 2x events/s;
 * **batch scoring** — ``score_sequences`` under a compiled
   ``backend_scope`` versus the numpy tiled kernel over a 4096-window
   batch — target >= 1.5x rows/s;
@@ -21,9 +20,9 @@ committed deflated baseline via ``check_bench_regression.py``):
 
 * compiled ≡ numpy exactly, for all three kernels, on the same inputs;
 * compiled streaming ≡ the verbatim **legacy** filter
-  (``StreamingScorer(..., incremental=False)`` — the PR 8 oracle),
-  through a mid-stream reset and a warm-swap rebind, so the whole
-  oracle chain legacy ≡ incremental-numpy ≡ compiled is pinned;
+  (``tests.oracles.LegacyStreamingScorer``), through a mid-stream reset
+  and a warm-swap rebind, so the whole oracle chain legacy ≡
+  incremental-numpy ≡ compiled is pinned;
 * compiled batch scoring keeps **batch-invariance** (scoring a subset
   of rows ≡ the same rows inside the full batch — what
   ``log_likelihood_unique``'s dedup scatter relies on);
@@ -66,12 +65,12 @@ from repro.hmm.kernels import (
     score_sequences,
     streaming_reset,
     streaming_step,
-    streaming_step_with,
 )
 from repro.service import DetectionService
 from repro.service.config import ServiceConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from common import (  # noqa: E402
     bench_host_metadata,
     bench_output_path,
@@ -79,6 +78,7 @@ from common import (  # noqa: E402
     print_block,
     shape_line,
 )
+from tests.oracles import LegacyStreamingScorer  # noqa: E402
 
 # Reference shape: the service's mid-sized models at the paper's window.
 N_STATES = 32
@@ -131,9 +131,9 @@ def _gate_fleet(models, obs_list) -> tuple[bool, bool]:
 
 def _gate_streaming(model, swap_model, symbols) -> bool:
     """compiled ≡ numpy ≡ verbatim legacy filter, through reset+rebind."""
-    compiled = StreamingScorer(model, window=WINDOW, kernel_backend="compiled")
-    numpy_fast = StreamingScorer(model, window=WINDOW, kernel_backend="numpy")
-    legacy = StreamingScorer(model, window=WINDOW, incremental=False)
+    compiled = StreamingScorer(model, window=WINDOW)
+    numpy_fast = StreamingScorer(model, window=WINDOW)
+    legacy = LegacyStreamingScorer(model, window=WINDOW)
     scorers = (compiled, numpy_fast, legacy)
     third = len(symbols) // 3
     for position, symbol in enumerate(symbols):
@@ -143,7 +143,11 @@ def _gate_streaming(model, swap_model, symbols) -> bool:
         if position == 2 * third:
             for scorer in scorers:
                 scorer.rebind(swap_model)
-        surprises = {scorer.observe(symbol) for scorer in scorers}
+        with backend_scope("compiled"):
+            surprises = {compiled.observe(symbol)}
+        with backend_scope("numpy"):
+            surprises.add(numpy_fast.observe(symbol))
+        surprises.add(legacy.observe(symbol))
         if len(surprises) != 1:
             return False
         fulls = {scorer.window_full for scorer in scorers}
@@ -275,8 +279,12 @@ def run(smoke: bool, out_path: Path) -> int:
         def body():
             streaming_reset(model, state)
             if resolved.dispatches:
+                # The held backend instance, as streaming_step reaches it
+                # under a scope, minus the per-event scope lookup; a step
+                # the backend declines (None) runs on the default path.
                 for index in indices:
-                    streaming_step_with(resolved, model, state, index)
+                    if resolved.streaming_step(model, state, index) is None:
+                        streaming_step(model, state, index)
             else:
                 for index in indices:
                     streaming_step(model, state, index)

@@ -1,8 +1,9 @@
 """Incremental streaming forward + cross-detector fused drain — PR 8.
 
 Not a paper table: this bench pins the two streaming-era fast paths
-against the implementations they replace (kept callable in-product as
-flag-off oracles, the ``bench_em_kernels`` verbatim-legacy pattern):
+against the implementations they replace (the oracles live in test code,
+``tests/oracles.py``, or in this file — the ``bench_em_kernels``
+verbatim-legacy pattern):
 
 * **per-event scoring** — the O(W·N²) windowed recompute every event
   (re-encode the sliding 15-call window and re-run the forward recursion,
@@ -10,23 +11,23 @@ flag-off oracles, the ``bench_em_kernels`` verbatim-legacy pattern):
   versus the O(N²) incremental ``StreamingScorer`` fast path (carried
   belief state + surprisal ring, ``repro.hmm.kernels.streaming_step``) —
   target >= 5x events/s at W=15;
-* **fleet drain** — a 100-detector ``DetectionService`` round with
-  ``cross_detector_batching`` off (one GEMM sequence per detector) versus
-  on (one batched contraction per shape/length group,
-  ``repro.hmm.kernels.log_likelihood_fleet``) — target >= 3x drained
-  windows/s at 64 windows per detector.
+* **fleet drain** — a 100-detector ``DetectionService`` drained per lane
+  (``pump(name)`` for each detector: one GEMM sequence per detector)
+  versus fused (``pump()``: one batched contraction per shape/length
+  group, ``repro.hmm.kernels.log_likelihood_fleet``) — target >= 3x
+  drained windows/s at 64 windows per detector.
 
 Three bit-identity gates make the speedups trustworthy (exit code 1 on
 any divergence):
 
 * the incremental filter must reproduce the verbatim legacy filter
-  (``StreamingScorer(..., incremental=False)``) exactly — per-event
+  (``tests.oracles.LegacyStreamingScorer``) exactly — per-event
   surprisals and windowed scores, across a mid-stream reset and a
   warm-swap rebind;
 * the carried state must equal a full windowed recompute: replaying the
   retained history from scratch at sampled positions must land on the
   same belief vector and windowed score bit-for-bit;
-* the fused drain's outcomes must equal the per-lane drain's exactly
+* the fused drain's outcomes must equal the per-lane drains' exactly
   (scores, verdicts, batch sizes).
 
 Usage::
@@ -54,9 +55,9 @@ from repro.hmm import random_model
 from repro.hmm.forward import log_likelihood
 from repro.hmm.kernels import streaming_recent
 from repro.service import DetectionService
-from repro.service.config import ServiceConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from common import (  # noqa: E402
     bench_host_metadata,
     bench_output_path,
@@ -64,6 +65,7 @@ from common import (  # noqa: E402
     print_block,
     shape_line,
 )
+from tests.oracles import LegacyStreamingScorer  # noqa: E402
 
 # Bench shape: the service's reference point — mid-sized models at the
 # paper's window, a 100-detector fleet.
@@ -117,8 +119,8 @@ def _incremental_per_event(scorer, symbols):
 
 def _gate_incremental_vs_legacy(model, swap_model, symbols) -> bool:
     """Fast path ≡ verbatim legacy filter, through reset and rebind."""
-    fast = StreamingScorer(model, window=WINDOW, incremental=True)
-    slow = StreamingScorer(model, window=WINDOW, incremental=False)
+    fast = StreamingScorer(model, window=WINDOW)
+    slow = LegacyStreamingScorer(model, window=WINDOW)
     third = len(symbols) // 3
     for position, symbol in enumerate(symbols):
         if position == third:
@@ -138,7 +140,7 @@ def _gate_incremental_vs_legacy(model, swap_model, symbols) -> bool:
 
 def _gate_replay_oracle(model, symbols) -> bool:
     """Carried state ≡ replaying the retained history from scratch."""
-    carried = StreamingScorer(model, window=WINDOW, incremental=True)
+    carried = StreamingScorer(model, window=WINDOW)
     history: list[str] = []
     checkpoints = {len(symbols) // 4, len(symbols) // 2, len(symbols) - 1}
     for position, symbol in enumerate(symbols):
@@ -146,7 +148,7 @@ def _gate_replay_oracle(model, symbols) -> bool:
         history.append(symbol)
         if position not in checkpoints:
             continue
-        replay = StreamingScorer(model, window=WINDOW, incremental=True)
+        replay = StreamingScorer(model, window=WINDOW)
         for past in history:
             replay.observe(past)
         if not np.array_equal(
@@ -167,10 +169,8 @@ def _gate_replay_oracle(model, symbols) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _build_fleet_service(fused: bool, models) -> DetectionService:
-    service = DetectionService(
-        ServiceConfig(cross_detector_batching=fused), clock=lambda: 0.0
-    )
+def _build_fleet_service(models) -> DetectionService:
+    service = DetectionService(clock=lambda: 0.0)
     for index, model in enumerate(models):
         service.register(
             f"det{index}",
@@ -207,24 +207,33 @@ def _submit_fleet(service, batches):
     return tickets
 
 
-def _drain_fleet(service, batches):
+def _drain_pending(service, fused: bool) -> None:
+    """Drain to empty: fused ``pump()`` rounds, or ``pump(name)`` per lane."""
+    if fused:
+        service.drain_pending()
+        return
+    while sum(service.pump(name) for name in service.detectors):
+        pass
+
+
+def _drain_fleet(service, batches, fused: bool):
     tickets = _submit_fleet(service, batches)
-    service.drain_pending()
+    _drain_pending(service, fused)
     return [ticket.result() for ticket in tickets]
 
 
-def _timed_drain(service, batches, reps):
+def _timed_drain(service, batches, reps, fused: bool):
     """Best drain wall-clock with submission outside the timer.
 
     Submission cost is identical in both modes (same admission path, same
-    queues); the flag only changes what happens inside the drain, so that
-    is what the clock wraps.
+    queues); only what happens inside the drain differs, so that is what
+    the clock wraps.
     """
     best = float("inf")
     for _ in range(reps):
         _submit_fleet(service, batches)
         started = time.perf_counter()
-        service.drain_pending()
+        _drain_pending(service, fused)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -249,8 +258,10 @@ def run(smoke: bool, out_path: Path) -> int:
         for index in range(FLEET_DETECTORS)
     ]
     batches = _fleet_windows(rng, symbols)
-    per_lane_outcomes = _drain_fleet(_build_fleet_service(False, models), batches)
-    fused_outcomes = _drain_fleet(_build_fleet_service(True, models), batches)
+    per_lane_outcomes = _drain_fleet(
+        _build_fleet_service(models), batches, fused=False
+    )
+    fused_outcomes = _drain_fleet(_build_fleet_service(models), batches, fused=True)
     drain_identical = len(per_lane_outcomes) == len(fused_outcomes) and all(
         type(a) is type(b)
         and a.score == b.score
@@ -263,7 +274,7 @@ def run(smoke: bool, out_path: Path) -> int:
     recompute_s = best_of(reps, lambda: _recompute_per_event(model, stream, WINDOW))
 
     def run_incremental():
-        scorer = StreamingScorer(model, window=WINDOW, incremental=True)
+        scorer = StreamingScorer(model, window=WINDOW)
         _incremental_per_event(scorer, stream)
 
     run_incremental()  # warm-up (allocators, BLAS threads)
@@ -272,10 +283,8 @@ def run(smoke: bool, out_path: Path) -> int:
 
     # -- fleet-drain throughput, drain phase only (see _timed_drain).
     n_windows = FLEET_DETECTORS * WINDOWS_PER_DETECTOR
-    per_lane_service = _build_fleet_service(False, models)
-    fused_service = _build_fleet_service(True, models)
-    per_lane_s = _timed_drain(per_lane_service, batches, reps)
-    fused_s = _timed_drain(fused_service, batches, reps)
+    per_lane_s = _timed_drain(_build_fleet_service(models), batches, reps, False)
+    fused_s = _timed_drain(_build_fleet_service(models), batches, reps, True)
     fleet_speedup = per_lane_s / fused_s
 
     payload = {

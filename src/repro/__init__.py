@@ -19,9 +19,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 The supported import surface is the :mod:`repro.api` facade —
 ``build_detector`` / ``fit`` / ``score`` / ``open_monitor`` /
-``load_pretrained`` — re-exported here.  Older constructor aliases
-(``make_detector``, ``detector_factory``) remain as shims that emit
-:class:`~repro.errors.ReproDeprecationWarning`.
+``load_pretrained`` — re-exported here.
 """
 
 from . import api, telemetry
@@ -43,7 +41,6 @@ from .core import (
     PretrainedDetector,
     RegularDetector,
     StiloDetector,
-    make_detector,
 )
 from .errors import (
     AnalysisError,
@@ -59,7 +56,7 @@ from .errors import (
 from .eval import ExperimentConfig
 from .program import CallKind, Program, load_corpus, load_program
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisError",
@@ -89,7 +86,6 @@ __all__ = [
     "load_corpus",
     "load_pretrained",
     "load_program",
-    "make_detector",
     "open_monitor",
     "score",
     "telemetry",

@@ -23,10 +23,7 @@ grid gets the same resumable, content-addressed, parallel runner::
     corpus = grid.corpus()          # runs (resuming) then summarises
 
 The deeper modules (:mod:`repro.core`, :mod:`repro.hmm`, ...) stay
-importable for research use, but their constructor aliases
-(``make_detector``, ``detector_factory``) and the monolithic
-``run_accuracy_grid`` runner are deprecated shims that warn with
-:class:`~repro.errors.ReproDeprecationWarning` and forward here.
+importable for research use.
 
 .. rubric:: Threshold convention
 
@@ -227,7 +224,7 @@ def use_kernel_backend(name: str | None) -> str:
 
     Per-component selection — without touching the process default — is
     available via ``ServiceConfig(kernel_backend=...)`` and
-    ``StreamingScorer(kernel_backend=...)``.  See ``docs/perf.md`` for
+    :func:`repro.hmm.backends.backend_scope`.  See ``docs/perf.md`` for
     the precedence matrix.
     """
     from .hmm import backends

@@ -347,13 +347,15 @@ class DetectionGateway:
                 except ValueError as exc:
                     await self._respond(writer, 400, {"error": str(exc)}, False)
                     break
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
+                declared = headers.get("content-length", "0")
+                # Plain ASCII digits only: int() would also take "-5",
+                # "+3", "1_0" and non-ASCII digits.
+                if not (declared.isascii() and declared.isdigit()):
                     await self._respond(
                         writer, 400, {"error": "bad Content-Length"}, False
                     )
                     break
+                length = int(declared)
                 if length > self.config.max_body_bytes:
                     # Drain the declared body (bounded) before answering:
                     # closing with unread bytes in flight RSTs the socket

@@ -10,11 +10,10 @@ from .forward import (
     backward,
     forward,
     log_likelihood,
-    log_likelihood_ragged,
     log_likelihood_unique,
     posterior_states,
 )
-from .kernels import EMWorkspace
+from .kernels import EMWorkspace, log_likelihood_grouped
 from .model import UNKNOWN_SYMBOL, HiddenMarkovModel, ensure_alphabet_with_unknown
 from .random_init import random_model
 from .serialize import load_model, save_model
@@ -40,7 +39,7 @@ __all__ = [
     "forward",
     "load_model",
     "log_likelihood",
-    "log_likelihood_ragged",
+    "log_likelihood_grouped",
     "log_likelihood_unique",
     "most_suspicious_positions",
     "posterior_states",

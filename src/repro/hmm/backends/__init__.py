@@ -24,7 +24,7 @@ Two backends ship in-tree:
 Selection surface (first match wins):
 
 1. an explicit :func:`backend_scope` / :func:`use_backend` call (the
-   service drain and ``StreamingScorer`` use scopes under the hood);
+   service drain uses a scope under the hood);
 2. the ``REPRO_KERNEL_BACKEND`` environment variable;
 3. the ``numpy`` default.
 
@@ -212,10 +212,10 @@ def use_backend(name: str | None) -> KernelBackend:
 def backend_scope(name: str | None) -> Iterator[KernelBackend]:
     """Activate a backend for the current thread within a ``with`` block.
 
-    This is how per-component selection composes: the service drain and
-    ``StreamingScorer`` wrap their kernel calls in a scope for their
-    configured backend, without disturbing other threads or the process
-    default.  Scopes nest; the innermost wins.
+    This is how per-component selection composes: the service drain
+    wraps its kernel calls (streaming sessions included) in a scope for
+    its configured backend, without disturbing other threads or the
+    process default.  Scopes nest; the innermost wins.
     """
     backend = resolve_backend(name)
     stack = getattr(_LOCAL, "stack", None)

@@ -13,7 +13,8 @@ scales-only :func:`~repro.hmm.kernels.score_sequences` kernel is
 bit-identical to running :func:`forward` and summing ``log(scales)`` but
 never materializes the (B, T, N) forward variables, and
 :func:`~repro.hmm.kernels.log_likelihood_unique` (re-exported here) scores
-each *distinct* window once.  The full recursions below remain the
+each *distinct* window once; ragged, many-model batches go through
+:func:`~repro.hmm.kernels.log_likelihood_grouped`.  The full recursions below remain the
 reference path for consumers that need the forward/backward variables
 themselves (posteriors, Viterbi explanations, tests).
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import telemetry
-from ..errors import ModelError
 from .kernels import (
     LOGLIK_BUCKETS,
     SCALE_FLOOR,
@@ -39,7 +39,6 @@ __all__ = [
     "backward",
     "forward",
     "log_likelihood",
-    "log_likelihood_ragged",
     "log_likelihood_unique",
     "posterior_states",
 ]
@@ -122,49 +121,6 @@ def log_likelihood(model: HiddenMarkovModel, obs: np.ndarray) -> np.ndarray:
             "hmm.forward.loglik", loglik.tolist(), boundaries=LOGLIK_BUCKETS
         )
     return loglik
-
-
-def log_likelihood_ragged(
-    model: HiddenMarkovModel, sequences: "list[np.ndarray]"
-) -> np.ndarray:
-    """Per-sequence ``log P(O | λ)`` for sequences of *unequal* lengths.
-
-    The batched :func:`log_likelihood` requires one shared length — fine for
-    the paper's fixed 15-call segments, but the detection service drains a
-    micro-batch of windows collected from many sessions, and those may mix
-    lengths (e.g. tenants running different window sizes).  This entry point
-    groups the batch by length and scores each length group with **one**
-    duplicate-aware pass (:func:`repro.hmm.kernels.log_likelihood_unique`),
-    so a drain costs O(#distinct lengths) passes rather than O(batch), and
-    identical windows *within* a group — common when many sessions watch
-    the same hot code path — are scored once.
-
-    Scores come back aligned with the input order, and each value is
-    bit-identical to what :func:`log_likelihood` returns for the same
-    length group (rows are scored independently, so deduplication cannot
-    perturb them).
-
-    Args:
-        model: the HMM.
-        sequences: encoded observation rows (1-D int arrays / lists), each
-            of length >= 1.
-
-    Returns:
-        (len(sequences),) float array of log-likelihoods.
-    """
-    out = np.empty(len(sequences))
-    if not sequences:
-        return out
-    by_length: dict[int, list[int]] = {}
-    rows = [np.asarray(seq) for seq in sequences]
-    for position, row in enumerate(rows):
-        if row.ndim != 1 or row.shape[0] == 0:
-            raise ModelError("each ragged sequence must be 1-D and non-empty")
-        by_length.setdefault(row.shape[0], []).append(position)
-    for length, positions in by_length.items():
-        obs = np.stack([rows[position] for position in positions])
-        out[positions] = log_likelihood_unique(model, obs)
-    return out
 
 
 def posterior_states(

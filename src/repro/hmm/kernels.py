@@ -35,15 +35,20 @@ Three things live here:
   ring buffer keeps the last ``window`` per-step log scale factors, so a
   sliding W-call surprisal costs one belief update per event instead of
   re-running the W-step recursion.  Bit-identical to replaying the
-  unfused filter (``StreamingScorer``'s verbatim legacy path) — pinned by
-  ``tests/test_streaming_incremental.py`` and the exit-1 gate in
-  ``benchmarks/bench_streaming_forward.py``.
+  unfused filter (the verbatim legacy oracle in ``tests/oracles.py``) —
+  pinned by ``tests/test_streaming_incremental.py`` and the exit-1 gate
+  in ``benchmarks/bench_streaming_forward.py``.
 * :func:`score_fleet` / :func:`log_likelihood_fleet` — cross-detector
   batched scoring for the service drain: same-shape (N, M) detectors'
   transition/emission tensors are stacked into (D, ·, ·) operands and the
   whole fleet's windows walk the recursion through batched 3-D matmuls —
   a handful of kernel launches per drain instead of one GEMM sequence per
   detector, bit-identical per row to :func:`score_sequences`.
+* :func:`log_likelihood_grouped` — the one entry for ragged,
+  many-model batches (the service drain): rows are grouped by
+  ``(n_states, n_symbols, length)``; a group holding one model's rows
+  scores through :func:`log_likelihood_unique`, a group spanning several
+  models through :func:`log_likelihood_fleet`.
 
 Bit-identity notes (the contracts ``tests/test_kernels.py`` pins):
 
@@ -127,6 +132,7 @@ __all__ = [
     "em_step",
     "em_update",
     "log_likelihood_fleet",
+    "log_likelihood_grouped",
     "log_likelihood_unique",
     "score_fleet",
     "score_sequences",
@@ -134,7 +140,6 @@ __all__ = [
     "streaming_recent",
     "streaming_reset",
     "streaming_step",
-    "streaming_step_with",
 ]
 
 
@@ -446,7 +451,8 @@ def _score_fleet_numpy(
 def log_likelihood_fleet(
     models: "list[HiddenMarkovModel]", obs_list: "list[np.ndarray]"
 ) -> "list[np.ndarray]":
-    """Duplicate-aware fleet scoring — the fused drain's entry point.
+    """Duplicate-aware fleet scoring (the multi-model groups of
+    :func:`log_likelihood_grouped`).
 
     Per model: validate, hash-dedup the batch (:func:`_dedup_rows`), then
     score every model's *distinct* rows in one :func:`score_fleet`
@@ -482,6 +488,61 @@ def log_likelihood_fleet(
                 loglik, int(obs.shape[0]), int(unique_scores.shape[0])
             )
         out.append(loglik)
+    return out
+
+
+def log_likelihood_grouped(
+    models: "list[HiddenMarkovModel]", batches: "list[list[np.ndarray]]"
+) -> "list[np.ndarray]":
+    """Per-row ``log P(O | λ_d)`` for one ragged batch of rows per model.
+
+    Rows of any length and models of any shape mix freely: every row is
+    grouped by ``(n_states, n_symbols, length)`` across all models.  A
+    group holding a single model's rows scores with one
+    :func:`log_likelihood_unique` call; a group spanning several models
+    scores with one :func:`log_likelihood_fleet` contraction.  So a call
+    costs one pass per group, not per row or per model, and — because
+    every kernel is batch-invariant — each score is bit-identical to
+    :func:`log_likelihood_unique` run per model and per length.
+
+    Args:
+        models: the models, in any mix of shapes.
+        batches: one list of encoded rows (1-D int arrays or lists, each
+            of length >= 1) per model; a list may be empty.
+
+    Returns:
+        One ``(len(rows),)`` score array per model, aligned with
+        ``models`` and with each batch's row order.
+    """
+    if len(models) != len(batches):
+        raise ModelError(
+            "log_likelihood_grouped needs one row batch per model"
+        )
+    out = [np.empty(len(rows)) for rows in batches]
+    # (n_states, n_symbols, length) -> [(model index, rows, positions)]
+    groups: dict[tuple[int, int, int], list[tuple[int, np.ndarray, list]]] = {}
+    for index, (model, rows) in enumerate(zip(models, batches)):
+        rows = [np.asarray(row) for row in rows]
+        by_length: dict[int, list[int]] = {}
+        for position, row in enumerate(rows):
+            if row.ndim != 1 or row.shape[0] == 0:
+                raise ModelError("each row must be 1-D and non-empty")
+            by_length.setdefault(row.shape[0], []).append(position)
+        for length, positions in by_length.items():
+            obs = np.stack([rows[position] for position in positions])
+            key = (model.n_states, model.n_symbols, length)
+            groups.setdefault(key, []).append((index, obs, positions))
+    for entries in groups.values():
+        if len(entries) == 1:
+            index, obs, positions = entries[0]
+            out[index][positions] = log_likelihood_unique(models[index], obs)
+            continue
+        scored = log_likelihood_fleet(
+            [models[index] for index, _, _ in entries],
+            [obs for _, obs, _ in entries],
+        )
+        for (index, _, positions), loglik in zip(entries, scored):
+            out[index][positions] = loglik
     return out
 
 
@@ -552,11 +613,10 @@ def streaming_step(
 
     One belief update — a (N,)@(N, N) product, an elementwise emission
     gather/multiply, one normalization — written into ``state``'s
-    preallocated buffers.  Operation order matches the unfused
-    ``StreamingScorer`` filter exactly (``@`` *is* ``np.matmul``; the
-    emission row is the same values as the strided column slice), so the
-    returned surprisals and the carried belief are bit-identical to the
-    legacy path.
+    preallocated buffers.  Operation order matches the unfused legacy
+    filter exactly (``@`` *is* ``np.matmul``; the emission row is the
+    same values as the strided column slice), so the returned surprisals
+    and the carried belief are bit-identical to it.
 
     Dispatch seam: an active non-default backend (see
     :mod:`repro.hmm.backends`) may serve the step — with identical state
@@ -565,24 +625,6 @@ def streaming_step(
     """
     backend = backends.active_backend()
     if backend.dispatches:
-        out = backend.streaming_step(model, state, index)
-        if out is not None:
-            return out
-    return _streaming_step_numpy(model, state, index)
-
-
-def streaming_step_with(
-    backend, model: HiddenMarkovModel, state: StreamingState, index: int
-) -> float:
-    """:func:`streaming_step` under an *explicit* backend.
-
-    The per-event entry point for callers that carry their own backend
-    choice (``StreamingScorer(kernel_backend=...)``): dispatching through
-    a held backend instance skips the thread-local scope push/pop that
-    :func:`~repro.hmm.backends.backend_scope` would cost per event.
-    ``backend=None`` means "plain numpy", bypassing the ambient scope.
-    """
-    if backend is not None and backend.dispatches:
         out = backend.streaming_step(model, state, index)
         if out is not None:
             return out
@@ -616,7 +658,7 @@ def streaming_recent(state: StreamingState) -> np.ndarray:
     """The last ``min(count, window)`` surprisals, oldest first.
 
     Stream order matters for bit-identity: ``np.mean`` reduces pairwise in
-    element order, and the legacy path's deque holds the surprisals in
+    element order, and the legacy filter's deque holds the surprisals in
     arrival order.  Before the ring wraps this is a contiguous prefix
     view; after wraparound the two ring halves are copied (oldest half
     first) into the preallocated ``ordered`` buffer — O(window) scalar

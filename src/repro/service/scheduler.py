@@ -3,25 +3,20 @@ pass.
 
 The hot path the batched :mod:`repro.hmm.forward` recursions were written
 for: instead of one ``log_likelihood`` call per request (a (1, 15) matrix
-product per time step), a drain collects every ready window across all
-sessions of one detector and scores them as a single (B, 15) batch —
-unequal window lengths fall back to one call per *length group* via
-:func:`repro.hmm.forward.log_likelihood_ragged`.  Each length group is
-scored duplicate-aware (:func:`repro.hmm.kernels.log_likelihood_unique`):
-when many sessions watch the same hot code path, identical windows in a
-drain run the forward recursion once and share the result, bit-identical
-to scoring every row (``hmm.score.unique_ratio`` reports the effect).
-
-On top of the per-lane batch, :meth:`MicroBatchScheduler.drain_many`
-fuses one round's drains **across detectors** (the default ``pump()``
-path when ``ServiceConfig.cross_detector_batching`` is on): same-shape
-(N, M) detectors' length groups stack into one batched tensor
-contraction (:func:`repro.hmm.kernels.log_likelihood_fleet`), so a
-100-detector fleet drains in a handful of kernel launches instead of one
-GEMM sequence per detector.  Mixed-shape fleets degrade gracefully — each
-``(n_states, n_symbols, length)`` group scores on the fused path when two
-or more lanes share it and on the per-lane kernel otherwise — and every
-outcome is bit-identical to the per-lane drain.
+product per time step), a drain round collects every ready window across
+all sessions of its lanes and scores them through one
+:func:`repro.hmm.kernels.log_likelihood_grouped` call.  That groups the
+round's rows by ``(n_states, n_symbols, window length)`` **across
+detectors**: a group holding one lane's rows scores duplicate-aware
+(:func:`repro.hmm.kernels.log_likelihood_unique` — identical windows run
+the forward recursion once and share the result, which
+``hmm.score.unique_ratio`` reports), and a group spanning several
+same-shape lanes stacks into one batched tensor contraction
+(:func:`repro.hmm.kernels.log_likelihood_fleet`), so a 100-detector
+fleet drains in a handful of kernel launches instead of one GEMM
+sequence per detector.  A single-lane round is just a round of one
+lane, and every outcome is bit-identical to draining each lane on its
+own.
 
 Admission control lives at the two points where load sheds:
 
@@ -44,7 +39,7 @@ code path strands a ticket.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -54,8 +49,7 @@ from .. import telemetry
 from ..core.detector import Detector
 from ..errors import ModelError
 from ..hmm import backends
-from ..hmm.forward import log_likelihood_ragged
-from ..hmm.kernels import log_likelihood_fleet, log_likelihood_unique
+from ..hmm.kernels import log_likelihood_grouped
 from .config import AdmissionPolicy, ServiceConfig
 from .outcomes import (
     Absorbed,
@@ -145,9 +139,9 @@ class _LaneDrain:
     ``_prepare`` fills the bookkeeping fields (and resolves sheds /
     absorbed pushes / encode failures); scoring fills ``loglik`` for the
     ``rows``; ``_finish`` resolves the scorable and streaming requests.
-    Splitting the phases this way is what lets :meth:`drain_many` score
-    *many* lanes' prepared rows in one fused pass between its per-lane
-    prepare and finish sweeps.
+    Splitting the phases this way is what lets :meth:`MicroBatchScheduler.drain`
+    score *many* lanes' prepared rows in one grouped pass between its
+    per-lane prepare and finish sweeps.
     """
 
     lane: DetectorLane
@@ -164,18 +158,12 @@ class _LaneDrain:
 class MicroBatchScheduler:
     """Drains lanes; owns no threads (the service does).
 
-    Two drain shapes share the same prepare/score/finish phases:
-
-    * :meth:`drain` — one lane, scored through
-      :func:`~repro.hmm.forward.log_likelihood_ragged` exactly as before;
-    * :meth:`drain_many` — one fused round over many lanes: every lane is
-      prepared, then all prepared rows are grouped by
-      ``(n_states, n_symbols, window length)`` **across lanes** and each
-      multi-lane group scores through one batched
-      :func:`~repro.hmm.kernels.log_likelihood_fleet` contraction
-      (single-lane groups keep the per-lane kernel).  Scores, outcomes,
-      and per-lane telemetry are bit-identical to per-lane drains — only
-      the kernel-launch count changes.
+    One drain shape serves every caller: :meth:`drain` takes a list of
+    lanes — all of them for a ``pump()`` round, one for ``pump(name)``
+    and the swap / gap barriers — prepares each lane, scores all
+    prepared rows through one grouped call, then resolves each lane.
+    Scores, outcomes, and per-lane telemetry do not depend on which
+    lanes share a round; only the kernel-launch count does.
     """
 
     def __init__(self, config: ServiceConfig, clock) -> None:
@@ -197,88 +185,48 @@ class MicroBatchScheduler:
             return nullcontext()
         return backends.backend_scope(self.config.kernel_backend)
 
-    def drain(self, lane: DetectorLane, stats) -> int:
-        """Process up to ``max_batch`` queued requests of one lane.
+    def drain(self, lanes, stats) -> int:
+        """One drain round: up to ``max_batch`` requests per lane.
 
-        Returns the number of requests resolved (scored, streamed,
-        absorbed, deadline-shed, or failed).  One drain issues at most one
-        forward pass per distinct window length present in the batch — for
-        the homogeneous 15-call case, exactly one — and duplicate windows
-        within a length group are scored once (see the module docstring).
+        Pops every non-empty lane's batch first, then runs the prepare
+        phase per lane, scores all prepared rows together, and resolves
+        each lane.  Returns the number of requests resolved (scored,
+        streamed, absorbed, deadline-shed, or failed) across lanes.  A
+        round issues one forward pass per ``(n_states, n_symbols, window
+        length)`` group — for one lane of homogeneous 15-call windows,
+        exactly one — and duplicate windows within a group are scored
+        once (see the module docstring).
 
-        Exception safety: a request that cannot be scored (unknown symbol,
-        no UNK slot) resolves :class:`Failed` individually; any *other*
-        exception resolves every popped-but-unresolved ticket ``Failed``
-        before propagating, so the documented "every accepted submission
-        resolves" invariant holds even when a drain crashes.
+        Exception safety: a request that cannot be scored (unknown
+        symbol, no UNK slot, empty window) or streamed resolves
+        :class:`Failed` individually; any *other* exception resolves
+        every popped-but-unresolved ticket of **all** popped lanes
+        ``Failed`` before propagating (the grouped pass is shared state),
+        so the documented "every accepted submission resolves" invariant
+        holds even when a drain crashes.
         """
-        if not lane.queue:
-            return 0
-        now = self.clock()
-
-        taken: list[PendingRequest] = []
-        while lane.queue and len(taken) < self.config.max_batch:
-            taken.append(lane.queue.popleft())
-
-        try:
-            with self._backend_scope():
-                return self._process(lane, taken, now, stats)
-        except Exception as exc:
-            for request in taken:
-                if not request.ticket.done():
-                    request.session.note_gap()
-                    request.ticket._resolve(
-                        Failed(
-                            detector=lane.name,
-                            session=request.session.session_id,
-                            error=f"{type(exc).__name__}: {exc}",
-                            queued_s=max(0.0, now - request.enqueued_at),
-                        )
-                    )
-                    stats.count_failed()
-            raise
-        finally:
-            telemetry.gauge_set(f"service.queue.depth.{lane.name}", lane.depth)
-
-    def drain_many(self, lanes, stats) -> int:
-        """One fused drain round: up to ``max_batch`` requests per lane.
-
-        Pops every non-empty lane's batch first, then runs the shared
-        prepare phase per lane and scores all prepared rows together —
-        same-shape lanes through one cross-detector contraction per
-        distinct window length, mixed shapes falling back per
-        ``(n_states, n_symbols, length)`` group.  Returns the total
-        resolved across lanes.
-
-        Exception safety matches :meth:`drain` per request — encode and
-        streaming failures resolve individual tickets ``Failed`` — but the
-        crash backstop is round-wide: an unexpected mid-round exception
-        resolves every popped-but-unresolved ticket of **all** popped
-        lanes ``Failed`` before propagating (the fused pass is shared
-        state; no lane's tickets can be left pending behind it).
-        """
-        now = self.clock()
-        popped: list[tuple[DetectorLane, list[PendingRequest]]] = []
+        drains: list[_LaneDrain] = []
         for lane in lanes:
             if not lane.queue:
                 continue
             taken: list[PendingRequest] = []
             while lane.queue and len(taken) < self.config.max_batch:
                 taken.append(lane.queue.popleft())
-            popped.append((lane, taken))
-        if not popped:
+            drains.append(_LaneDrain(lane=lane, taken=taken))
+        if not drains:
             return 0
+        now = self.clock()
         try:
             with self._backend_scope():
-                return self._process_many(popped, now, stats)
+                return self._process(drains, now, stats)
         except Exception as exc:
-            for lane, taken in popped:
-                for request in taken:
+            for drain in drains:
+                for request in drain.taken:
                     if not request.ticket.done():
                         request.session.note_gap()
                         request.ticket._resolve(
                             Failed(
-                                detector=lane.name,
+                                detector=drain.lane.name,
                                 session=request.session.session_id,
                                 error=f"{type(exc).__name__}: {exc}",
                                 queued_s=max(0.0, now - request.enqueued_at),
@@ -287,78 +235,48 @@ class MicroBatchScheduler:
                         stats.count_failed()
             raise
         finally:
-            for lane, _ in popped:
-                telemetry.gauge_set(f"service.queue.depth.{lane.name}", lane.depth)
-
-    def _process(
-        self, lane: DetectorLane, taken: list[PendingRequest], now: float, stats
-    ) -> int:
-        """Resolve one popped batch: sheds, monitor pushes, forward pass."""
-        drain = self._prepare(_LaneDrain(lane=lane, taken=taken), now, stats)
-        if drain.scorable:
-            drain.loglik = log_likelihood_ragged(lane.detector.model, drain.rows)
-        self._finish(drain, stats)
-        return drain.resolved
-
-    def _process_many(
-        self,
-        popped: list[tuple[DetectorLane, list[PendingRequest]]],
-        now: float,
-        stats,
-    ) -> int:
-        """Resolve one fused round: per-lane prepare, cross-lane score,
-        per-lane finish."""
-        drains = [
-            self._prepare(_LaneDrain(lane=lane, taken=taken), now, stats)
-            for lane, taken in popped
-        ]
-        # Group every prepared row by (model shape, window length) across
-        # lanes — insertion order is lane order then each lane's
-        # first-occurrence length order, mirroring log_likelihood_ragged.
-        groups: dict[
-            tuple[int, int, int], list[tuple[_LaneDrain, np.ndarray, list[int]]]
-        ] = {}
-        for drain in drains:
-            if not drain.scorable:
-                continue
-            drain.loglik = np.empty(len(drain.rows))
-            model = drain.lane.detector.model
-            by_length: dict[int, list[int]] = {}
-            for position, row in enumerate(drain.rows):
-                by_length.setdefault(row.shape[0], []).append(position)
-            for length, positions in by_length.items():
-                obs = np.stack([drain.rows[position] for position in positions])
-                key = (model.n_states, model.n_symbols, length)
-                groups.setdefault(key, []).append((drain, obs, positions))
-        fused_groups = 0
-        for entries in groups.values():
-            if len(entries) == 1:
-                # One lane in this shape/length group: the per-lane kernel
-                # is already a single pass (and uses the full 512-row
-                # tile); nothing to fuse.
-                drain, obs, positions = entries[0]
-                drain.loglik[positions] = log_likelihood_unique(
-                    drain.lane.detector.model, obs
+            for drain in drains:
+                telemetry.gauge_set(
+                    f"service.queue.depth.{drain.lane.name}", drain.lane.depth
                 )
-                continue
-            fused_groups += 1
-            scored = log_likelihood_fleet(
-                [drain.lane.detector.model for drain, _, _ in entries],
-                [obs for _, obs, _ in entries],
+
+    def _process(self, drains: list[_LaneDrain], now: float, stats) -> int:
+        """Resolve one popped round: per-lane prepare, grouped score,
+        per-lane finish."""
+        for drain in drains:
+            self._prepare(drain, now, stats)
+        scoring = [drain for drain in drains if drain.scorable]
+        if scoring:
+            models = [drain.lane.detector.model for drain in scoring]
+            scored = log_likelihood_grouped(
+                models, [drain.rows for drain in scoring]
             )
-            for (drain, _, positions), loglik in zip(entries, scored):
-                drain.loglik[positions] = loglik
-        if groups:
-            telemetry.counter_add("service.drain.fused")
-            if fused_groups:
-                telemetry.counter_add("service.drain.fused_groups", fused_groups)
+            for drain, loglik in zip(scoring, scored):
+                drain.loglik = loglik
+            if telemetry.enabled():
+                # A (shape, length) group spanning two or more lanes went
+                # through the fleet kernel.
+                lanes_per_group = Counter(
+                    key
+                    for model, drain in zip(models, scoring)
+                    for key in {
+                        (model.n_states, model.n_symbols, row.shape[0])
+                        for row in drain.rows
+                    }
+                )
+                fused_groups = sum(n > 1 for n in lanes_per_group.values())
+                if fused_groups:
+                    telemetry.counter_add("service.drain.fused")
+                    telemetry.counter_add(
+                        "service.drain.fused_groups", fused_groups
+                    )
         total = 0
         for drain in drains:
             self._finish(drain, stats)
             total += drain.resolved
         return total
 
-    def _prepare(self, drain: _LaneDrain, now: float, stats) -> _LaneDrain:
+    def _prepare(self, drain: _LaneDrain, now: float, stats) -> None:
         """Bookkeeping phase: deadline sheds, monitor pushes, encoding.
 
         Walks the popped batch in FIFO order, resolving everything that
@@ -412,7 +330,7 @@ class MicroBatchScheduler:
             model = lane.detector.model
             # Encode per request so one bad window (symbol outside a no-UNK
             # alphabet, or an empty window) fails alone instead of
-            # poisoning the whole batch — in either drain shape.
+            # poisoning the whole batch.
             rows: list[np.ndarray] = []
             encodable: list[tuple[PendingRequest, tuple[str, ...], float]] = []
             for request, window, queued_s in scorable:
@@ -445,7 +363,6 @@ class MicroBatchScheduler:
         drain.scorable = scorable
         drain.streaming = streaming
         drain.resolved = resolved
-        return drain
 
     def _finish(self, drain: _LaneDrain, stats) -> None:
         """Resolution phase: apply scores, then walk streaming sessions.

@@ -219,7 +219,7 @@ class DetectionService:
             lane = self._lane(name)
             drained = 0
             while lane.queue:
-                drained += self._scheduler.drain(lane, self.stats)
+                drained += self._scheduler.drain([lane], self.stats)
             lane.detector = detector
             for (detector_name, _), session in self._sessions.items():
                 if detector_name == name:
@@ -309,7 +309,7 @@ class DetectionService:
             # at its true position in the stream (same barrier as
             # swap_detector).
             while lane.queue:
-                self._scheduler.drain(lane, self.stats)
+                self._scheduler.drain([lane], self.stats)
             for _ in range(count):
                 session.note_gap()
             telemetry.counter_add("service.gaps.reported", count)
@@ -386,21 +386,18 @@ class DetectionService:
         """Run one drain round; returns how many requests were resolved.
 
         One round drains up to ``config.max_batch`` requests per lane —
-        every lane, or just ``detector``'s.  With
-        ``config.cross_detector_batching`` (the default) an all-lanes
-        round runs as one *fused* drain: same-shape detectors' windows
-        score through a single batched contraction
-        (:meth:`MicroBatchScheduler.drain_many`), bit-identical to — and
-        several times cheaper than — the per-lane loop it replaces.
-        Single-lane pumps (and the swap barrier) keep the per-lane path.
+        every lane, or just ``detector``'s — through
+        :meth:`MicroBatchScheduler.drain`.  An all-lanes round is *fused*:
+        same-shape detectors' windows score through a single batched
+        contraction, bit-identical to — and several times cheaper than —
+        pumping each lane on its own with ``pump(detector)``.
         """
         with self._lock:
             if detector is not None:
-                return self._scheduler.drain(self._lane(detector), self.stats)
-            lanes = list(self._lanes.values())
-            if self.config.cross_detector_batching and len(lanes) > 1:
-                return self._scheduler.drain_many(lanes, self.stats)
-            return sum(self._scheduler.drain(lane, self.stats) for lane in lanes)
+                lanes = [self._lane(detector)]
+            else:
+                lanes = list(self._lanes.values())
+            return self._scheduler.drain(lanes, self.stats)
 
     def drain_pending(self) -> int:
         """Pump until every queue is empty; returns total resolved."""

@@ -7,11 +7,10 @@ drain loop *unchanged* over their own bounded lanes, and a thin parent-side
 router assigns every session to exactly one shard by **consistent hashing
 of the session id** — so sticky monitor/stream state lives in one place and
 never migrates mid-stream.  The whole :class:`ServiceConfig` travels to
-each worker, so the cross-detector fused drain
-(``cross_detector_batching``, see
-:meth:`repro.service.scheduler.MicroBatchScheduler.drain_many`) runs
-inside every shard exactly as in-process: each worker's pump round scores
-its same-shape lanes through one batched contraction.
+each worker, and the fused drain
+(:meth:`repro.service.scheduler.MicroBatchScheduler.drain`) runs inside
+every shard exactly as in-process: each worker's pump round scores its
+same-shape lanes through one batched contraction.
 
 What crosses the process boundary is deliberately small:
 

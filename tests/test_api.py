@@ -163,20 +163,6 @@ class TestLoadPretrained:
 
 
 class TestDeprecationShims:
-    def test_make_detector_warns_and_forwards(self, gzip_program):
-        from repro.core import make_detector
-
-        with pytest.warns(ReproDeprecationWarning, match="build_detector"):
-            detector = make_detector("stilo", gzip_program, CallKind.SYSCALL)
-        assert detector.name == "stilo"
-
-    def test_detector_factory_warns_and_forwards(self, gzip_program):
-        from repro.core import detector_factory
-
-        with pytest.warns(ReproDeprecationWarning, match="detector_spec"):
-            spec = detector_factory("stilo", gzip_program, CallKind.SYSCALL)
-        assert isinstance(spec, api.DetectorSpec)
-
     def test_shim_warning_is_a_deprecation_warning(self):
         # So `-W error::repro.errors.ReproDeprecationWarning` (pinned in
         # pyproject) catches first-party use without muting third parties.

@@ -54,7 +54,7 @@ from repro.hmm.kernels import (
     score_sequences,
     streaming_rebind,
     streaming_reset,
-    streaming_step_with,
+    streaming_step,
 )
 from repro.service.config import ServiceConfig
 
@@ -254,7 +254,6 @@ class TestCompiledDifferential:
         n_symbols = 24
         model = _model(n_states, n_symbols, seed)
         swap = _model(n_states, n_symbols, seed + 1)
-        backend = resolve_backend("compiled")
         fast = StreamingState(model, window=7)
         oracle = StreamingState(model, window=7)
         rng = np.random.default_rng(seed + 2)
@@ -267,7 +266,8 @@ class TestCompiledDifferential:
                 current = swap
                 streaming_rebind(current, fast)
                 streaming_rebind(current, oracle)
-            got = streaming_step_with(backend, current, fast, int(index))
+            with backend_scope("compiled"):
+                got = streaming_step(current, fast, int(index))
             want = _streaming_step_numpy(current, oracle, int(index))
             assert got == want
         assert fast.belief.tobytes() == oracle.belief.tobytes()
@@ -278,8 +278,7 @@ class TestCompiledDifferential:
         """First verified stream binding records a probe_pass counter."""
         model = _model(16, 24, seed=9)
         state = StreamingState(model, window=5)
-        backend = resolve_backend("compiled")
-        with telemetry.session() as registry:
-            streaming_step_with(backend, model, state, 3)
+        with telemetry.session() as registry, backend_scope("compiled"):
+            streaming_step(model, state, 3)
         counters = registry.snapshot()["counters"]
         assert counters.get("hmm.backend.probe_pass", 0) >= 1

@@ -11,6 +11,7 @@ import http.client
 import importlib.util
 import json
 import math
+import socket
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,28 @@ class TestGatewayHTTP:
             assert conn.getresponse().status == 413
         finally:
             conn.close()
+
+    @pytest.mark.parametrize("declared", ["-5", "1_0", "+3", "0x10"])
+    def test_non_digit_content_length_400(self, gateway_stack, declared):
+        """Only plain ASCII digits frame a body: anything ``int()`` would
+        also take (or reject) gets a 400 and a close, and the gateway
+        keeps serving fresh connections."""
+        gateway, *_ = gateway_stack
+        head = (
+            "POST /v1/sessions HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", gateway.port), timeout=10
+        ) as sock:
+            sock.sendall(head.encode("ascii"))
+            response = b""
+            while chunk := sock.recv(65536):  # read until the server closes
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"bad Content-Length" in response
+        status, payload = _request(gateway, "GET", "/health")
+        assert (status, payload["status"]) == (200, "ok")
 
     def test_keep_alive_reuses_one_connection(self, gateway_stack):
         gateway, *_ = gateway_stack

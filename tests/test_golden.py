@@ -205,23 +205,24 @@ class TestGoldenBatchedDrain:
     """Pinned scores for one fused cross-detector drain round.
 
     The differential suite (``tests/test_service_batched_drain.py``)
-    proves fused == per-lane on random fleets; this cell pins the actual
-    numbers so a behaviour change that is *consistent* between the two
-    drain shapes still trips the suite.
+    proves a fused ``pump()`` round == ``pump(name)`` per lane on random
+    fleets; this cell pins the actual numbers so a behaviour change that
+    is *consistent* between the two still trips the suite.
     """
 
     def test_scores_match_golden_and_per_lane(self):
-        fused = _run_drain_cell(cross_detector_batching=True)
-        per_lane = _run_drain_cell(cross_detector_batching=False)
+        fused = _run_drain_cell(per_lane=False)
+        per_lane = _run_drain_cell(per_lane=True)
         assert fused == per_lane  # bitwise, not approx
         assert set(fused) == set(GOLDEN_DRAIN)
         for name, scores in GOLDEN_DRAIN.items():
             assert fused[name] == pytest.approx(scores, abs=1e-6)
 
 
-def _run_drain_cell(cross_detector_batching: bool) -> dict[str, list[float]]:
+def _run_drain_cell(per_lane: bool) -> dict[str, list[float]]:
     """Fixed drain cell: two same-shape detectors, four 15-call windows
-    each, scored in one ``pump()`` round."""
+    each, scored in one fused ``pump()`` round — or, with ``per_lane``,
+    one ``pump(name)`` per detector."""
     from repro.api import load_pretrained
     from repro.hmm import random_model
     from repro.service import DetectionService, ServiceConfig
@@ -239,17 +240,17 @@ def _run_drain_cell(cross_detector_batching: bool) -> dict[str, list[float]]:
         ]
         for name, _ in fleet
     }
-    service = DetectionService(
-        ServiceConfig(cross_detector_batching=cross_detector_batching),
-        clock=lambda: 0.0,
-    )
+    service = DetectionService(ServiceConfig(), clock=lambda: 0.0)
     for name, detector in fleet:
         service.register(name, detector, threshold=-2.0)
     tickets = {
         name: [service.submit(name, "golden", window=w) for w in ws]
         for name, ws in windows.items()
     }
-    assert service.pump() == 8
+    if per_lane:
+        assert sum(service.pump(name) for name in windows) == 8
+    else:
+        assert service.pump() == 8
     return {
         name: [ticket.result().score for ticket in lane_tickets]
         for name, lane_tickets in tickets.items()
@@ -268,7 +269,7 @@ def _generate() -> None:  # pragma: no cover - maintenance helper
     print(f'    "mean_normal_score": {float(normal.mean()):.6f},')
     print(f'    "holdout_loglik_final": {outcome.holdout_final:.6f},')
     print("}")
-    drain = _run_drain_cell(cross_detector_batching=True)
+    drain = _run_drain_cell(per_lane=False)
     print("GOLDEN_DRAIN = {")
     for name, scores in drain.items():
         rendered = ", ".join(f"{score:.6f}" for score in scores)

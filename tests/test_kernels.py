@@ -5,26 +5,34 @@ Three contracts, each pinned bit-for-bit:
 * the fused E-step equals a naive per-timestep reference implementation
   kept in this file (same operation order, plain numpy, fresh arrays);
 * duplicate-aware scoring equals plain scoring for arbitrary duplicated
-  batches, including the all-duplicate and all-unique extremes;
+  batches, including the all-duplicate and all-unique extremes, and the
+  grouped entry for ragged, many-model batches equals duplicate-aware
+  scoring run per model and per length;
 * an :class:`~repro.hmm.kernels.EMWorkspace` shared across ``train()``
   calls of *different* shapes never leaks state between calls.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ModelError
 from repro.hmm import (
     EMWorkspace,
     HiddenMarkovModel,
     TrainingConfig,
     log_likelihood,
+    log_likelihood_grouped,
     log_likelihood_unique,
     random_model,
     train,
 )
+from repro.hmm.backends import backend_scope, resolve_backend
 from repro.hmm.kernels import SCALE_FLOOR, SCORE_TILE, em_step, score_sequences
 
 # ---------------------------------------------------------------------------
@@ -247,6 +255,106 @@ class TestLogLikelihoodUnique:
             np.arange(obs.shape[0]),  # identity
         ):
             assert np.array_equal(score_sequences(model, obs[subset]), full[subset])
+
+
+@st.composite
+def grouped_case(draw):
+    """One to five models over at most three (N, M) shapes — N mod 8 in
+    {1, 2, 3} included, so several models often share a shape and fuse —
+    each with a ragged, duplicate-heavy batch (possibly empty)."""
+    shapes = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((1, 2, 3, 4, 9, 10, 11, 16, 17)),
+                st.integers(min_value=2, max_value=6),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    models, batches = [], []
+    for index in range(draw(st.integers(min_value=1, max_value=5))):
+        n_states, n_symbols = shapes[index % len(shapes)]
+        model = random_model(
+            [f"s{i}" for i in range(n_symbols)],
+            n_states=n_states,
+            seed=seed + index,
+        )
+        # A small pool of distinct rows per length, sampled with
+        # replacement: most rows in a batch are duplicates.
+        pool = {
+            length: rng.integers(0, model.n_symbols, size=(2, length))
+            for length in draw(
+                st.sets(st.integers(min_value=1, max_value=6), min_size=1, max_size=3)
+            )
+        }
+        lengths = sorted(pool)
+        rows = []
+        for _ in range(draw(st.integers(min_value=0, max_value=12))):
+            length = lengths[int(rng.integers(0, len(lengths)))]
+            rows.append(pool[length][int(rng.integers(0, 2))])
+        models.append(model)
+        batches.append(rows)
+    return models, batches
+
+
+def _per_model_per_length(models, batches):
+    """The reference: one ``log_likelihood_unique`` call per model and
+    per distinct row length, scattered back into row order."""
+    out = []
+    for model, rows in zip(models, batches):
+        scores = np.empty(len(rows))
+        for length in {row.shape[0] for row in rows}:
+            positions = [i for i, row in enumerate(rows) if row.shape[0] == length]
+            scores[positions] = log_likelihood_unique(
+                model, np.stack([rows[i] for i in positions])
+            )
+        out.append(scores)
+    return out
+
+
+def _compiled_available() -> bool:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return resolve_backend("compiled").name == "compiled"
+
+
+class TestLogLikelihoodGrouped:
+    # The compiled backend declines shapes its probe cannot verify
+    # (warning once per shape); numpy then serves them, same bits.
+    @pytest.mark.filterwarnings("ignore:kernel backend falling back")
+    @settings(max_examples=40, deadline=None)
+    @given(grouped_case())
+    def test_matches_unique_per_model_and_length(self, case):
+        models, batches = case
+        backends = ["numpy"] + (["compiled"] if _compiled_available() else [])
+        for backend in backends:
+            with backend_scope(backend):
+                got = log_likelihood_grouped(models, batches)
+                expected = _per_model_per_length(models, batches)
+            assert len(got) == len(models)
+            for have, want in zip(got, expected):
+                assert have.tobytes() == want.tobytes()
+
+    def test_accepts_plain_lists(self):
+        model = random_model(["a", "b", "c"], n_states=3, seed=0)
+        (got,) = log_likelihood_grouped([model], [[[0, 1, 2], [2, 1]]])
+        assert got[0] == log_likelihood(model, np.array([[0, 1, 2]]))[0]
+        assert got[1] == log_likelihood(model, np.array([[2, 1]]))[0]
+
+    def test_rejects_rows_that_are_not_1d_or_empty(self):
+        model = random_model(["a", "b"], n_states=2, seed=1)
+        with pytest.raises(ModelError, match="1-D and non-empty"):
+            log_likelihood_grouped([model], [[np.zeros((2, 3), dtype=int)]])
+        with pytest.raises(ModelError, match="1-D and non-empty"):
+            log_likelihood_grouped([model], [[np.array([], dtype=int)]])
+
+    def test_rejects_a_batch_count_mismatch(self):
+        model = random_model(["a", "b"], n_states=2, seed=1)
+        with pytest.raises(ModelError, match="one row batch per model"):
+            log_likelihood_grouped([model, model], [[[0, 1]]])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from repro.api import load_pretrained
 from repro.core.monitor import OnlineMonitor
 from repro.core.streaming import StreamingScorer
 from repro.errors import NotFittedError, ServiceError
-from repro.hmm import log_likelihood, random_model
-from repro.hmm.forward import log_likelihood_ragged
+from repro.hmm import log_likelihood, log_likelihood_grouped, random_model
 from repro.hmm.model import HiddenMarkovModel
 from repro.service import (
     Absorbed,
@@ -106,7 +105,7 @@ class TestScoreEquivalence:
             rng.integers(0, model.n_symbols, size=rng.integers(3, 20))
             for _ in range(25)
         ]
-        ragged = log_likelihood_ragged(model, rows)
+        (ragged,) = log_likelihood_grouped([model], [rows])
         # Bit-identical to batching each length group together (the code
         # path it promises); per-row calls only agree to float precision
         # (GEMM vs GEMV accumulate in different orders).
@@ -420,10 +419,10 @@ class TestFailureSemantics:
         """The backstop: an unexpected mid-drain crash strands nothing."""
         import repro.service.scheduler as scheduler_module
 
-        def boom(model, rows):
+        def boom(models, batches):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(scheduler_module, "log_likelihood_ragged", boom)
+        monkeypatch.setattr(scheduler_module, "log_likelihood_grouped", boom)
         service = fresh_service(detector)
         tickets = [
             service.submit("svc", "s", window=w) for w in make_windows(5)
@@ -440,11 +439,11 @@ class TestFailureSemantics:
         real_drain = service._scheduler.drain
         crashes = {"n": 0}
 
-        def flaky(lane, stats):
-            if crashes["n"] == 0 and lane.queue:
+        def flaky(lanes, stats):
+            if crashes["n"] == 0 and any(lane.queue for lane in lanes):
                 crashes["n"] += 1
                 raise RuntimeError("transient")
-            return real_drain(lane, stats)
+            return real_drain(lanes, stats)
 
         service._scheduler.drain = flaky
         service.start()
@@ -459,15 +458,15 @@ class TestFailureSemantics:
         import repro.service.scheduler as scheduler_module
 
         calls = {"n": 0}
-        real = log_likelihood_ragged
+        real = log_likelihood_grouped
 
-        def flaky(model, rows):
+        def flaky(models, batches):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise RuntimeError("transient")
-            return real(model, rows)
+            return real(models, batches)
 
-        monkeypatch.setattr(scheduler_module, "log_likelihood_ragged", flaky)
+        monkeypatch.setattr(scheduler_module, "log_likelihood_grouped", flaky)
         service = fresh_service(detector, max_batch=4)
         tickets = [
             service.submit("svc", "s", window=w) for w in make_windows(10)

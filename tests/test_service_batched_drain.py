@@ -1,16 +1,17 @@
 """Differential tests for cross-detector batched drains.
 
-``ServiceConfig.cross_detector_batching`` (default on) routes ``pump()``
-through :meth:`MicroBatchScheduler.drain_many`, which stacks same-shape
+An all-lanes ``pump()`` round drains every lane through one
+:meth:`MicroBatchScheduler.drain` call, which stacks same-shape
 detectors' length groups into one fused tensor contraction
 (:func:`repro.hmm.kernels.log_likelihood_fleet`).  The contract under
-test: **every externally observable outcome is bit-identical to per-lane
-drains** — scores, surprisals, alerts, anomaly verdicts, batch sizes,
-typed ``Failed`` isolation — only the kernel-launch count changes.
+test: **every externally observable outcome is bit-identical to
+per-lane drains** (``pump(name)`` for each lane) — scores, surprisals,
+alerts, anomaly verdicts, batch sizes, typed ``Failed`` isolation — only
+the kernel-launch count changes.
 
-The fuzz harness runs the same submission plan against a fused and a
-per-lane service (deterministic clock, same detectors) and compares the
-resolved outcomes field by field.
+The fuzz harness runs the same submission plan against two services
+(deterministic clock, same detectors), one pumped fused and one pumped
+per lane, and compares the resolved outcomes field by field.
 """
 
 from __future__ import annotations
@@ -54,14 +55,20 @@ def fleet():
     ]
 
 
-def build_service(fused, fleet, threshold=-2.0, **config_kwargs):
+def build_service(fleet, threshold=-2.0, **config_kwargs):
     service = DetectionService(
-        ServiceConfig(cross_detector_batching=fused, **config_kwargs),
-        clock=lambda: 0.0,
+        ServiceConfig(**config_kwargs), clock=lambda: 0.0
     )
     for name, detector in fleet:
         service.register(name, detector, threshold=threshold, window=4)
     return service
+
+
+def pump_round(service, fused):
+    """One drain round: a fused ``pump()``, or ``pump(name)`` per lane."""
+    if fused:
+        return service.pump()
+    return sum(service.pump(name) for name in service.detectors)
 
 
 def summarize(outcome):
@@ -71,7 +78,7 @@ def summarize(outcome):
     return payload
 
 
-def run_plan(service, fleet, plan):
+def run_plan(service, fleet, plan, fused):
     """Execute one submission plan; returns the resolved outcome dicts.
 
     A plan step is ``(lane_index, tenant, kind, payload)`` with kind one
@@ -87,7 +94,7 @@ def run_plan(service, fleet, plan):
         if (name, session) not in service._sessions:
             service.open_session(name, session, kind)
         tickets.append(service.submit(name, session, symbol=payload))
-    while service.pump():
+    while pump_round(service, fused):
         pass
     return [summarize(t.result()) for t in tickets]
 
@@ -116,8 +123,8 @@ class TestDifferentialFuzz:
     @settings(max_examples=25, deadline=None)
     @given(submission_plan())
     def test_fused_outcomes_equal_per_lane(self, fleet, plan):
-        fused = run_plan(build_service(True, fleet), fleet, plan)
-        per_lane = run_plan(build_service(False, fleet), fleet, plan)
+        fused = run_plan(build_service(fleet), fleet, plan, fused=True)
+        per_lane = run_plan(build_service(fleet), fleet, plan, fused=False)
         assert fused == per_lane  # bitwise: scores are floats compared ==
 
 
@@ -133,7 +140,7 @@ class TestFusedRound:
             ]
             for name in ("alpha", "beta")
         }
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         tickets = {
             name: [service.submit(name, "t", window=w) for w in ws]
             for name, ws in windows.items()
@@ -149,7 +156,7 @@ class TestFusedRound:
         per lane — and the telemetry counters say exactly that."""
         window = tuple(SYMBOLS[:4]) * 2
         alt_window = tuple(ALT_SYMBOLS) * 2
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         with telemetry.session():
             tickets = [
                 service.submit("alpha", "t", window=window),
@@ -166,13 +173,21 @@ class TestFusedRound:
             assert ticket.result().score == detector.score([expected])[0]
 
     def test_single_lane_pump_skips_the_fused_path(self, fleet):
-        service = build_service(True, fleet[:1])
+        """A round that drains one lane — a one-lane service's ``pump()``
+        or ``pump(name)`` on a fleet — never reaches the fleet kernel."""
+        single = build_service(fleet[:1])
+        service = build_service(fleet[:2])
         with telemetry.session():
-            ticket = service.submit("alpha", "t", window=tuple(SYMBOLS))
-            service.pump()
+            tickets = [single.submit("alpha", "t", window=tuple(SYMBOLS))]
+            single.pump()
+            for name in ("alpha", "beta"):
+                tickets.append(
+                    service.submit(name, "t", window=tuple(SYMBOLS))
+                )
+            assert pump_round(service, fused=False) == 2
             snap = telemetry.snapshot()
         assert "service.drain.fused" not in snap["counters"]
-        assert isinstance(ticket.result(), Scored)
+        assert all(isinstance(t.result(), Scored) for t in tickets)
 
 
 class TestFailedIsolation:
@@ -202,12 +217,12 @@ class TestFailedIsolation:
         """Unknown-symbol and empty windows resolve ``Failed`` without
         poisoning the rest of the round — identically in both modes."""
         good = tuple(SYMBOLS[:3]) * 3
-        service = build_service(fused, strict_fleet)
+        service = build_service(strict_fleet)
         good_a = service.submit("strict-a", "t", window=good)
         bad_sym = service.submit("strict-a", "t", window=("open", "EVIL"))
         empty = service.submit("strict-b", "t", window=())
         good_b = service.submit("strict-b", "t", window=good)
-        assert service.pump() == 4
+        assert pump_round(service, fused) == 4
 
         assert isinstance(bad_sym.result(), Failed)
         assert "EVIL" in bad_sym.result().error
@@ -225,10 +240,8 @@ class TestFailedIsolation:
         def boom(models, obs_list):
             raise RuntimeError("fleet kernel exploded")
 
-        monkeypatch.setattr(
-            "repro.service.scheduler.log_likelihood_fleet", boom
-        )
-        service = build_service(True, fleet)
+        monkeypatch.setattr("repro.hmm.kernels.log_likelihood_fleet", boom)
+        service = build_service(fleet)
         window = tuple(SYMBOLS[:5]) * 3
         tickets = [
             service.submit(name, "t", window=window) for name, _ in fleet
@@ -257,8 +270,8 @@ class TestSessionsInFusedRounds:
             else:
                 payload = labels[int(rng.integers(0, len(labels)))]
             plan.append((lane_index, int(rng.integers(0, 2)), kind, payload))
-        fused = run_plan(build_service(True, fleet), fleet, plan)
-        per_lane = run_plan(build_service(False, fleet), fleet, plan)
+        fused = run_plan(build_service(fleet), fleet, plan, fused=True)
+        per_lane = run_plan(build_service(fleet), fleet, plan, fused=False)
         assert fused == per_lane
         kinds = {outcome["type"] for outcome in fused}
         assert {"Scored", "Streamed", "Absorbed"} <= kinds
@@ -267,7 +280,7 @@ class TestSessionsInFusedRounds:
         from repro.core.streaming import StreamingScorer
 
         feed = [SYMBOLS[i % len(SYMBOLS)] for i in range(10)]
-        service = build_service(True, fleet)
+        service = build_service(fleet)
         service.open_session("alpha", "s", "stream")
         service.open_session("beta", "s", "stream")
         tickets = []
@@ -287,23 +300,23 @@ class TestSessionsInFusedRounds:
             )
 
 
-class TestShardedFlag:
-    def test_sharded_scores_identical_under_both_flags(self, fleet):
-        """The whole ServiceConfig travels to each worker, so the flag
-        applies per shard — and cannot change any score."""
+class TestSharded:
+    def test_sharded_scores_identical_under_both_pump_shapes(self, fleet):
+        """The whole ServiceConfig travels to each worker, and a worker's
+        fused round scores exactly like its per-lane rounds — and like
+        the detectors themselves."""
+        rng = np.random.default_rng(23)
         window_sets = {
             name: [
                 tuple(SYMBOLS[i] for i in rng.integers(0, 5, size=15))
                 for _ in range(6)
             ]
-            for rng in [np.random.default_rng(23)]
             for name in ("alpha", "beta")
         }
         results = {}
         for fused in (True, False):
             service = ShardedDetectionService(
-                ServiceConfig(cross_detector_batching=fused),
-                ShardConfig(shards=1),
+                ServiceConfig(), ShardConfig(shards=1)
             )
             try:
                 for name, detector in fleet[:2]:
@@ -313,8 +326,10 @@ class TestShardedFlag:
                     for name, ws in window_sets.items()
                     for w in ws
                 ]
+                while pump_round(service, fused):
+                    pass
             finally:
-                service.close()  # drains, then resolves every ticket
+                service.close()
             results[fused] = [
                 (name, t.result(timeout=10).score) for name, t in tickets
             ]

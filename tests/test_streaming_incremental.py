@@ -4,9 +4,9 @@ Three oracles pin the O(1)-per-event filter
 (:class:`repro.hmm.kernels.StreamingState` behind
 :class:`repro.core.streaming.StreamingScorer`):
 
-* the **verbatim legacy filter** (``incremental=False``) — surprisals,
-  windowed scores, belief states, and lifecycle transitions must match
-  bit-for-bit, event by event;
+* the **verbatim legacy filter** (:class:`tests.oracles.LegacyStreamingScorer`)
+  — surprisals, windowed scores, belief states, and lifecycle
+  transitions must match bit-for-bit, event by event;
 * a **full windowed recompute** — ``windowed_score`` must equal the mean
   of the last ``window`` surprisals materialized as a plain oldest-first
   array (the ring buffer must never reorder the reduction);
@@ -29,10 +29,11 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.api import load_pretrained
 from repro.core.monitor import OnlineMonitor
-from repro.core.streaming import INCREMENTAL_ENV, StreamingScorer
+from repro.core.streaming import StreamingScorer
 from repro.errors import ModelError, NotFittedError
 from repro.hmm import random_model
 from repro.service import DetectionService, ServiceConfig
+from tests.oracles import LegacyStreamingScorer
 
 WINDOW = 7
 
@@ -51,8 +52,8 @@ def make_feed(model, length, seed=0):
 
 def paired_scorers(model, window):
     return (
-        StreamingScorer(model, window=window, incremental=True),
-        StreamingScorer(model, window=window, incremental=False),
+        StreamingScorer(model, window=window),
+        LegacyStreamingScorer(model, window=window),
     )
 
 
@@ -98,7 +99,7 @@ class TestDifferential:
             # surprisals in stream order (same np.mean reduction).
             recomputed = -float(np.mean(np.array(surprises[-window:])))
             assert fast.windowed_score == recomputed
-            assert fast._state.belief.tolist() == slow._belief.tolist()
+            assert fast._state.belief.tolist() == slow.belief.tolist()
 
     @settings(max_examples=30, deadline=None)
     @given(stream_case())
@@ -106,7 +107,7 @@ class TestDifferential:
         """The carried filter equals a fresh scorer replaying the suffix
         since the last reset — no cross-event state corruption."""
         model, feed, window, resets = case
-        carried = StreamingScorer(model, window=window, incremental=True)
+        carried = StreamingScorer(model, window=window)
         since_reset: list[str] = []
         for position, symbol in enumerate(feed):
             if position in resets:
@@ -114,7 +115,7 @@ class TestDifferential:
                 since_reset.clear()
             carried.observe(symbol)
             since_reset.append(symbol)
-        replay = StreamingScorer(model, window=window, incremental=True)
+        replay = StreamingScorer(model, window=window)
         replay.observe_many(since_reset)
         assert carried._state.belief.tolist() == replay._state.belief.tolist()
         assert carried.windowed_score == replay.windowed_score
@@ -143,17 +144,13 @@ class TestRingWraparound:
 
     def test_score_before_any_event_raises_in_both_modes(self):
         model = make_model(seed=11)
-        for incremental in (True, False):
-            scorer = StreamingScorer(model, incremental=incremental)
+        for scorer in (StreamingScorer(model), LegacyStreamingScorer(model)):
             with pytest.raises(ModelError):
                 scorer.windowed_score
 
     def test_reset_clears_the_ring_in_both_modes(self):
         model = make_model(seed=11)
-        for incremental in (True, False):
-            scorer = StreamingScorer(
-                model, window=WINDOW, incremental=incremental
-            )
+        for scorer in paired_scorers(model, WINDOW):
             scorer.observe_many(make_feed(model, 2 * WINDOW, seed=13))
             scorer.reset()
             assert scorer.events == 0
@@ -171,13 +168,13 @@ class TestRebind:
         pre = make_feed(old, WINDOW + 3, seed=23)
         post = make_feed(new, WINDOW - 2, seed=24)
 
-        scorer = StreamingScorer(old, window=WINDOW, incremental=True)
+        scorer = StreamingScorer(old, window=WINDOW)
         scorer.observe_many(pre)
         before_swap = scorer.windowed_score
         scorer.rebind(new)
         assert scorer.windowed_score == before_swap  # ring untouched
 
-        fresh = StreamingScorer(new, window=WINDOW, incremental=True)
+        fresh = StreamingScorer(new, window=WINDOW)
         assert scorer.observe_many(post) == fresh.observe_many(post)
         assert scorer._state.belief.tolist() == fresh._state.belief.tolist()
 
@@ -191,10 +188,10 @@ class TestRebind:
         fast.rebind(new)
         slow.rebind(new)
         assert fast.observe_many(post) == slow.observe_many(post)
-        assert fast._state.belief.tolist() == slow._belief.tolist()
+        assert fast._state.belief.tolist() == slow.belief.tolist()
 
     def test_rebind_rejects_non_models(self):
-        scorer = StreamingScorer(make_model(), incremental=True)
+        scorer = StreamingScorer(make_model())
         with pytest.raises(ModelError, match="HiddenMarkovModel"):
             scorer.rebind(object())
 
@@ -235,28 +232,6 @@ class TestServiceSwapInvalidation:
         assert monitor.detector is detector  # rejected swap leaves it bound
 
 
-class TestFlag:
-    def test_env_switch_disables_fast_path(self, monkeypatch):
-        for value in ("0", "false", "no", "off", " OFF "):
-            monkeypatch.setenv(INCREMENTAL_ENV, value)
-            scorer = StreamingScorer(make_model())
-            assert scorer.incremental is False
-            assert scorer._state is None
-
-    def test_env_default_and_truthy_values_enable(self, monkeypatch):
-        monkeypatch.delenv(INCREMENTAL_ENV, raising=False)
-        assert StreamingScorer(make_model()).incremental is True
-        monkeypatch.setenv(INCREMENTAL_ENV, "1")
-        assert StreamingScorer(make_model()).incremental is True
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(INCREMENTAL_ENV, "0")
-        scorer = StreamingScorer(make_model(), incremental=True)
-        assert scorer._state is not None
-        monkeypatch.delenv(INCREMENTAL_ENV, raising=False)
-        assert StreamingScorer(make_model(), incremental=False)._state is None
-
-
 class TestTelemetry:
     @pytest.fixture(autouse=True)
     def _telemetry_off_before_and_after(self):
@@ -269,7 +244,7 @@ class TestTelemetry:
         record 10 events (and 10 surprise samples), not 3."""
         model = make_model(seed=41)
         with telemetry.session():
-            scorer = StreamingScorer(model, incremental=True)
+            scorer = StreamingScorer(model)
             scorer.observe_many(make_feed(model, 7, seed=42))
             scorer.observe_many([])
             scorer.observe_many(make_feed(model, 3, seed=43))
@@ -279,12 +254,3 @@ class TestTelemetry:
         assert snap["counters"]["hmm.forward.incremental.batches"] == 2
         histogram = snap["histograms"]["hmm.forward.incremental.surprise"]
         assert sum(histogram["counts"]) == 10
-
-    def test_legacy_oracle_is_uninstrumented(self):
-        model = make_model(seed=44)
-        with telemetry.session():
-            scorer = StreamingScorer(model, incremental=False)
-            scorer.observe_many(make_feed(model, 5, seed=45))
-            snap = telemetry.snapshot()
-        assert "hmm.forward.incremental.events" not in snap["counters"]
-        assert "hmm.forward.incremental.batches" not in snap["counters"]
