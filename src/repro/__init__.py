@@ -51,12 +51,14 @@ from .errors import (
     ReproDeprecationWarning,
     ReproError,
     ServiceError,
+    ServiceUnavailableError,
     TraceError,
+    UnknownTargetError,
 )
 from .eval import ExperimentConfig
 from .program import CallKind, Program, load_corpus, load_program
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnalysisError",
@@ -76,9 +78,11 @@ __all__ = [
     "ReproDeprecationWarning",
     "ReproError",
     "ServiceError",
+    "ServiceUnavailableError",
     "StiloDetector",
     "THRESHOLD_RULE",
     "TraceError",
+    "UnknownTargetError",
     "api",
     "build_detector",
     "detector_spec",

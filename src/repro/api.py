@@ -183,30 +183,24 @@ def open_monitor(
     )
 
 
-def open_service(
-    config=None,
-    *,
-    shards: int = 1,
-    shard_config=None,
-):
+def open_service(config=None, *, shards: int = 1):
     """Open a detection service sized to the deployment.
 
     ``shards=1`` returns the in-process micro-batched
-    :class:`~repro.service.service.DetectionService`; ``shards > 1`` (or an
-    explicit :class:`~repro.service.config.ShardConfig`) returns the
-    process-sharded :class:`~repro.service.sharded.ShardedDetectionService`
-    — same API, model weights published once through shared memory, one
-    worker process per shard.  See ``docs/service.md``.
+    :class:`~repro.service.service.DetectionService`; ``shards > 1``
+    returns the process-sharded
+    :class:`~repro.service.sharded.ShardedDetectionService` — same API,
+    model weights published once through shared memory, one worker process
+    per shard.  See ``docs/service.md``.
 
     Args:
         config: a :class:`~repro.service.config.ServiceConfig` (per-shard
             batching/queueing knobs).
         shards: worker-process count.
-        shard_config: full sharding knobs; overrides ``shards``.
     """
     from .service import create_service
 
-    return create_service(config, shards=shards, shard_config=shard_config)
+    return create_service(config, shards=shards)
 
 
 def use_kernel_backend(name: str | None) -> str:

@@ -137,66 +137,57 @@ def build_parser() -> argparse.ArgumentParser:
     score_trace.add_argument("--threshold", type=float, default=None,
                              help="flag segments scoring below this value")
 
+    # Flags the two serving commands share; ServiceConfig comes from them
+    # through service_config_from_args.
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("model_source",
+                         help="saved model path, or cache:KEY with --cache-dir")
+    serving.add_argument("--kind", type=_kind, default=CallKind.SYSCALL)
+    serving.add_argument("--length", type=int, default=15,
+                         help="window length (monitor/stream sessions and "
+                              "replayed windows)")
+    serving.add_argument("--threshold", type=float, default=None,
+                         help="operating threshold; anomalous iff score < T "
+                              "(required for serve --mode monitor)")
+    serving.add_argument("--shards", type=int, default=1,
+                         help="worker processes; >1 shards sessions across "
+                              "processes with shared-memory model weights "
+                              "(1 = in-process service)")
+    serving.add_argument("--batch", type=int, default=256,
+                         help="max windows per micro-batch drain")
+    serving.add_argument("--queue-depth", type=int, default=4096,
+                         help="bounded queue depth (admission limit)")
+    serving.add_argument("--policy", choices=("reject-new", "shed-oldest"),
+                         default="reject-new",
+                         help="admission policy when the queue is full")
+
     serve = sub.add_parser(
         "serve",
+        parents=[serving],
         help="replay recorded traces through the micro-batched detection "
              "service (one session per trace)",
     )
-    serve.add_argument("model_source",
-                       help="saved model path, or cache:KEY with --cache-dir")
     serve.add_argument("trace_file", type=Path)
-    serve.add_argument("--kind", type=_kind, default=CallKind.SYSCALL)
-    serve.add_argument("--length", type=int, default=15,
-                       help="window length (monitor/window modes)")
-    serve.add_argument("--threshold", type=float, default=None,
-                       help="operating threshold; anomalous iff score < T "
-                            "(required for --mode monitor)")
     serve.add_argument("--mode", choices=("window", "monitor", "stream"),
                        default="window",
                        help="window: client-side windows; monitor: service "
                             "keeps sliding window + alerts; stream: "
                             "incremental per-call surprisal")
-    serve.add_argument("--batch", type=int, default=256,
-                       help="max windows per micro-batch drain")
-    serve.add_argument("--queue-depth", type=int, default=4096,
-                       help="bounded queue depth (admission limit)")
     serve.add_argument("--latency-budget-ms", type=float, default=None,
                        help="shed requests older than this at drain time")
-    serve.add_argument("--policy", choices=("reject-new", "shed-oldest"),
-                       default="reject-new",
-                       help="admission policy when the queue is full")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="worker processes; >1 shards sessions across "
-                            "processes with shared-memory model weights "
-                            "(1 = in-process service, today's behavior)")
 
     gateway = sub.add_parser(
         "gateway",
+        parents=[serving],
         help="serve the detection fleet over HTTP (async gateway + "
              "versioned model registry with warm-swap)",
     )
-    gateway.add_argument("model_source",
-                         help="saved model path, or cache:KEY with --cache-dir")
     gateway.add_argument("--host", default="127.0.0.1")
     gateway.add_argument("--port", type=int, default=0,
                          help="bind port; 0 picks an ephemeral one "
                               "(printed at startup)")
     gateway.add_argument("--name", default="served",
                          help="detector name == registry lineage name")
-    gateway.add_argument("--kind", type=_kind, default=CallKind.SYSCALL)
-    gateway.add_argument("--length", type=int, default=15,
-                         help="window length (monitor/stream sessions)")
-    gateway.add_argument("--threshold", type=float, default=None,
-                         help="operating threshold; anomalous iff score < T")
-    gateway.add_argument("--shards", type=int, default=1,
-                         help="worker processes (1 = in-process service)")
-    gateway.add_argument("--batch", type=int, default=256,
-                         help="max windows per micro-batch drain")
-    gateway.add_argument("--queue-depth", type=int, default=4096,
-                         help="bounded queue depth (admission limit)")
-    gateway.add_argument("--policy", choices=("reject-new", "shed-oldest"),
-                         default="reject-new",
-                         help="admission policy when the queue is full")
     gateway.add_argument("--result-timeout", type=float, default=30.0,
                          help="seconds an observe waits for its outcome "
                               "before answering 503")
@@ -284,6 +275,20 @@ def runtime_from_args(
                 )
             cache = ArtifactCache(cache_dir)
     return executor, cache
+
+
+def service_config_from_args(args: argparse.Namespace):
+    """The :class:`~repro.service.ServiceConfig` the serving flags spell."""
+    from .service import AdmissionPolicy, ServiceConfig
+
+    budget_ms = getattr(args, "latency_budget_ms", None)
+    return ServiceConfig(
+        max_batch=args.batch,
+        max_queue_depth=args.queue_depth,
+        admission_policy=AdmissionPolicy(args.policy),
+        latency_budget_s=budget_ms / 1000.0 if budget_ms is not None else None,
+        default_window=args.length,
+    )
 
 
 def _cmd_corpus() -> int:
@@ -481,11 +486,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .core.detector import PretrainedDetector
     from .errors import ServiceError
     from .service import (
-        AdmissionPolicy,
         Failed,
         Overloaded,
         Scored,
-        ServiceConfig,
         Streamed,
         create_service,
         resolve_model,
@@ -501,18 +504,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("trace log holds no traces", file=sys.stderr)
         return 1
 
-    config = ServiceConfig(
-        max_batch=args.batch,
-        max_queue_depth=args.queue_depth,
-        admission_policy=AdmissionPolicy(args.policy),
-        latency_budget_s=(
-            args.latency_budget_ms / 1000.0
-            if args.latency_budget_ms is not None
-            else None
-        ),
-        default_window=args.length,
-    )
-    service = create_service(config, shards=args.shards)
+    service = create_service(service_config_from_args(args), shards=args.shards)
     service.register("served", detector, threshold=args.threshold,
                      window=args.length)
 
@@ -588,25 +580,14 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     from .core.detector import PretrainedDetector
     from .gateway import DetectionGateway, GatewayConfig
     from .runtime import ModelRegistry
-    from .service import (
-        AdmissionPolicy,
-        ServiceConfig,
-        create_service,
-        resolve_model,
-    )
+    from .service import create_service, resolve_model
 
     if not telemetry.enabled():
         telemetry.enable()  # /metrics wants gateway.*/service.* counters
     _, cache = runtime_from_args(args)
     model = resolve_model(args.model_source, cache=cache)
     detector = PretrainedDetector(model, kind=args.kind, name=args.name)
-    config = ServiceConfig(
-        max_batch=args.batch,
-        max_queue_depth=args.queue_depth,
-        admission_policy=AdmissionPolicy(args.policy),
-        default_window=args.length,
-    )
-    service = create_service(config, shards=args.shards)
+    service = create_service(service_config_from_args(args), shards=args.shards)
     service.register(args.name, detector, threshold=args.threshold,
                      window=args.length)
     registry = ModelRegistry(cache=cache)

@@ -55,8 +55,18 @@ class ServiceError(ReproError):
     """The detection service was misconfigured or misused.
 
     Examples: submitting to an unregistered detector, reusing a session id
-    across incompatible modes, or submitting after shutdown.
+    across incompatible modes, or submitting after shutdown.  The two
+    subclasses below say which of these a caller can act on: a missing
+    target, or a service that cannot serve right now.
     """
+
+
+class UnknownTargetError(ServiceError):
+    """The named detector is not registered, or the named session is not open."""
+
+
+class ServiceUnavailableError(ServiceError):
+    """The service is closed, or the shard a request routes to is down."""
 
 
 class ReproDeprecationWarning(DeprecationWarning):

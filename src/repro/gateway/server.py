@@ -48,7 +48,12 @@ import time
 from dataclasses import dataclass
 
 from .. import telemetry
-from ..errors import ReproError, ServiceError
+from ..errors import (
+    ReproError,
+    ServiceError,
+    ServiceUnavailableError,
+    UnknownTargetError,
+)
 from ..runtime.registry import ModelRegistry, RegistryError
 from ..service.fleet import rebuild_detector, resolve_model
 from ..service.outcomes import (
@@ -210,10 +215,9 @@ def _version_to_json(entry, active: int | None) -> dict:
 
 
 def _service_error_status(exc: ServiceError) -> int:
-    text = str(exc)
-    if "closed" in text or "shard" in text and "died" in text:
+    if isinstance(exc, ServiceUnavailableError):
         return 503
-    if text.startswith("no detector") or "is not open" in text:
+    if isinstance(exc, UnknownTargetError):
         return 404
     return 400
 

@@ -21,6 +21,12 @@ Two deployment shapes:
   service lock with the drain, so a producer can block for up to one
   in-flight micro-batch's forward pass.  :meth:`close` stops the loop and
   (by default) gracefully drains everything still queued.
+
+The front-door checks (fitted HMM, known detector, open service, session
+modes) and the lifecycle (``start`` / ``close`` / context manager) live
+once, in :class:`_FrontDoor`, which the process-sharded
+:class:`~repro.service.sharded.ShardedDetectionService` shares — so both
+services raise the same typed errors with the same messages.
 """
 
 from __future__ import annotations
@@ -28,12 +34,17 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 from .. import telemetry
 from ..core.detector import Detector
-from ..errors import NotFittedError, ServiceError
+from ..errors import (
+    NotFittedError,
+    ServiceError,
+    ServiceUnavailableError,
+    UnknownTargetError,
+)
 from ..hmm.model import HiddenMarkovModel
 from .config import ServiceConfig
 from .outcomes import Overloaded, ShedReason, Ticket
@@ -42,10 +53,18 @@ from .sessions import Session, SessionMode
 
 log = logging.getLogger(__name__)
 
+#: Seconds the threaded pump loop waits between polls of an idle service.
+PUMP_INTERVAL_S = 0.001
+
 
 @dataclass
 class ServiceStats:
-    """Aggregate counters for one service instance (all detectors)."""
+    """Aggregate counters for one service instance (all detectors).
+
+    Every field is a counter except the ``max_*`` high-water marks; the
+    sharded service's fold (:func:`repro.service.sharded.merge_stats_dicts`)
+    relies on that naming.
+    """
 
     submitted: int = 0
     scored: int = 0
@@ -59,7 +78,6 @@ class ServiceStats:
     batches: int = 0
     max_batch_size: int = 0
     max_depth_seen: int = 0
-    _shed_counter: dict = field(default_factory=dict, repr=False)
 
     @property
     def shed_total(self) -> int:
@@ -90,46 +108,52 @@ class ServiceStats:
         telemetry.counter_add("service.batches")
 
     def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "scored": self.scored,
-            "streamed": self.streamed,
-            "absorbed": self.absorbed,
-            "failed": self.failed,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_oldest": self.shed_oldest,
-            "shed_deadline": self.shed_deadline,
-            "shed_shutdown": self.shed_shutdown,
-            "shed_total": self.shed_total,
-            "shed_rate": self.shed_rate,
-            "batches": self.batches,
-            "max_batch_size": self.max_batch_size,
-            "max_depth_seen": self.max_depth_seen,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["shed_total"] = self.shed_total
+        payload["shed_rate"] = self.shed_rate
+        return payload
 
 
-class DetectionService:
-    """Micro-batched, multi-tenant scoring over a fleet of detectors.
+def _servable_model(name: str, detector: Detector) -> HiddenMarkovModel:
+    """The HMM a service scores ``detector`` with.
 
-    Args:
-        config: batching/queueing knobs (:class:`ServiceConfig`).
-        clock: monotonic time source; injectable so tests can steer the
-            latency budget deterministically.
+    Fails at the door, not at drain time: the scheduler's batched forward
+    pass needs an HMM (mirrors ``StreamingScorer.for_detector``).
+    """
+    if not detector.is_fitted:
+        raise NotFittedError(
+            f"detector {name!r} is not fitted; the service only scores"
+        )
+    model = getattr(detector, "model", None)
+    if not isinstance(model, HiddenMarkovModel):
+        raise ServiceError(
+            f"detector {name!r} exposes no HiddenMarkovModel via .model; "
+            "the micro-batched service scores HMM-backed detectors only "
+            "(n-gram/ensemble baselines are not servable)"
+        )
+    return model
+
+
+class _FrontDoor:
+    """What both services decide before any work is queued, and their
+    shared lifecycle.
+
+    A subclass keeps one entry per registered detector in ``_fleet`` and
+    one session (anything with a ``.mode``) per ``(detector, session_id)``
+    in ``_sessions``; it fills in the hooks at the bottom (``_add``,
+    ``_swap``, ``_open``, ``_shutdown``, optionally ``_forget``) and
+    defines ``submit`` and ``pump`` itself.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig | None = None,
-        clock=time.monotonic,
-    ) -> None:
+    _thread_name = "repro-service"
+
+    def __init__(self, config: ServiceConfig | None) -> None:
         self.config = config or ServiceConfig()
-        self.clock = clock
-        self.stats = ServiceStats()
-        self._lanes: dict[str, DetectorLane] = {}
-        self._sessions: dict[tuple[str, str], Session] = {}
-        self._scheduler = MicroBatchScheduler(self.config, clock)
+        self._fleet: dict = {}
+        self._sessions: dict = {}
         self._lock = threading.RLock()
         self._closed = False
+        self._closing = False
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -154,29 +178,12 @@ class DetectionService:
             window: sliding-window length for monitor/stream sessions
                 (defaults to ``config.default_window``).
         """
-        if not detector.is_fitted:
-            raise NotFittedError(
-                f"detector {name!r} is not fitted; the service only scores"
-            )
-        # Fail at the door, not at drain time: the scheduler's batched
-        # forward pass needs an HMM (mirrors StreamingScorer.for_detector).
-        if not isinstance(getattr(detector, "model", None), HiddenMarkovModel):
-            raise ServiceError(
-                f"detector {name!r} exposes no HiddenMarkovModel via .model; "
-                "the micro-batched service scores HMM-backed detectors only "
-                "(n-gram/ensemble baselines are not servable)"
-            )
+        model = _servable_model(name, detector)
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if name in self._lanes:
+            self._check_open()
+            if name in self._fleet:
                 raise ServiceError(f"detector {name!r} already registered")
-            self._lanes[name] = DetectorLane(
-                name=name,
-                detector=detector,
-                threshold=threshold,
-                window=window if window is not None else self.config.default_window,
-            )
+            self._fleet[name] = self._add(name, detector, model, threshold, window)
 
     def register_fleet(
         self, detectors: Mapping[str, Detector], thresholds: Mapping[str, float] | None = None
@@ -203,36 +210,16 @@ class DetectionService:
         window settings are retained (operating points outlive retrains —
         re-register to change them).
         """
-        if not detector.is_fitted:
-            raise NotFittedError(
-                f"detector {name!r} is not fitted; the service only scores"
-            )
-        if not isinstance(getattr(detector, "model", None), HiddenMarkovModel):
-            raise ServiceError(
-                f"detector {name!r} exposes no HiddenMarkovModel via .model; "
-                "the micro-batched service scores HMM-backed detectors only "
-                "(n-gram/ensemble baselines are not servable)"
-            )
+        model = _servable_model(name, detector)
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            lane = self._lane(name)
-            drained = 0
-            while lane.queue:
-                drained += self._scheduler.drain([lane], self.stats)
-            lane.detector = detector
-            for (detector_name, _), session in self._sessions.items():
-                if detector_name == name:
-                    session.swap_detector(detector)
+            self._check_open()
+            drained = self._swap(name, self._registered(name), detector, model)
             telemetry.counter_add("service.swaps")
             return drained
 
     @property
     def detectors(self) -> tuple[str, ...]:
-        return tuple(self._lanes)
-
-    def queue_depth(self, name: str) -> int:
-        return self._lane(name).depth
+        return tuple(self._fleet)
 
     # ------------------------------------------------------------------
     # Sessions
@@ -242,7 +229,7 @@ class DetectionService:
         detector: str,
         session_id: str,
         mode: SessionMode | str = SessionMode.WINDOW,
-    ) -> Session:
+    ):
         """Open (or fetch) the sticky session for ``(detector, session_id)``.
 
         Window-mode sessions are implicit — submitting a window creates
@@ -251,9 +238,10 @@ class DetectionService:
         first symbol.
         """
         mode = SessionMode(mode)
-        lane = self._lane(detector)
-        key = (detector, session_id)
         with self._lock:
+            self._check_open()
+            entry = self._registered(detector)
+            key = (detector, session_id)
             existing = self._sessions.get(key)
             if existing is not None:
                 if existing.mode is not mode:
@@ -262,14 +250,7 @@ class DetectionService:
                         f"{existing.mode.value} mode, not {mode.value}"
                     )
                 return existing
-            session = Session.open(
-                session_id=session_id,
-                detector_name=detector,
-                detector=lane.detector,
-                mode=mode,
-                window=lane.window,
-                threshold=lane.threshold,
-            )
+            session = self._open(entry, detector, session_id, mode)
             self._sessions[key] = session
             return session
 
@@ -280,9 +261,167 @@ class DetectionService:
         session still resolve normally — they hold their own reference —
         but the next ``open_session`` for this id starts fresh.
         """
-        self._lane(detector)  # unknown detector raises, mirroring open
         with self._lock:
-            return self._sessions.pop((detector, session_id), None) is not None
+            self._check_open()
+            self._registered(detector)
+            session = self._sessions.pop((detector, session_id), None)
+            if session is None:
+                return False
+            self._forget(detector, session)
+            return True
+
+    def _admit(self, detector: str, session_id: str, window, symbol):
+        """The checks every submission passes; returns ``(entry, session)``.
+
+        Exactly one of ``window`` / ``symbol``; an open service; a known
+        detector; a symbol only to an opened monitor/stream session, a
+        window only to a window session (opened implicitly on first use).
+        """
+        if (window is None) == (symbol is None):
+            raise ServiceError("submit takes exactly one of window= or symbol=")
+        self._check_open()
+        entry = self._registered(detector)
+        session = self._sessions.get((detector, session_id))
+        if session is None:
+            if symbol is not None:
+                raise UnknownTargetError(
+                    f"session {session_id!r} on {detector!r} is not open; "
+                    "open_session(..., mode='monitor'|'stream') before "
+                    "submitting symbols"
+                )
+            session = self.open_session(detector, session_id, SessionMode.WINDOW)
+        elif window is not None and session.mode is not SessionMode.WINDOW:
+            raise ServiceError(
+                f"session {session_id!r} is a {session.mode.value} session; "
+                "submit symbol=... instead of window=..."
+            )
+        elif symbol is not None and session.mode is SessionMode.WINDOW:
+            raise ServiceError(
+                f"session {session_id!r} is a window session; "
+                "submit window=... instead of symbol=..."
+            )
+        return entry, session
+
+    # ------------------------------------------------------------------
+    # Draining, threaded deployment and shutdown
+    # ------------------------------------------------------------------
+    def drain_pending(self) -> int:
+        """Pump until every queue is empty; returns total resolved."""
+        total = 0
+        while True:
+            resolved = self.pump()
+            if resolved == 0:
+                return total
+            total += resolved
+
+    def start(self) -> None:
+        """Launch the background pump loop (idempotent)."""
+        with self._lock:
+            self._check_open()
+            if self._thread is not None:
+                return
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._run, name=self._thread_name, daemon=True
+            )
+            self._thread.start()
+
+    def _run(self) -> None:
+        while not self._stop.is_set():
+            try:
+                resolved = self.pump()
+            except Exception:
+                # A crashed drain already resolved its popped tickets
+                # Failed; keep the loop alive so the rest of the backlog
+                # still drains instead of hanging forever.
+                log.exception("%s: pump round crashed; continuing", self._thread_name)
+                telemetry.counter_add("service.drain_errors")
+                continue
+            if resolved == 0:
+                # Idle: sleep a beat instead of spinning.
+                self._stop.wait(PUMP_INTERVAL_S)
+
+    def close(self, drain: bool = True) -> int:
+        """Shut down; returns how many pending requests were handled.
+
+        ``drain=True`` (graceful) scores everything still queued before
+        refusing new work; ``drain=False`` resolves the backlog with
+        ``Overloaded(SHUTDOWN)`` so no ticket is ever left hanging.  Every
+        later call except ``close`` raises
+        :class:`~repro.errors.ServiceUnavailableError`.
+        """
+        with self._lock:
+            if self._closed:
+                return 0
+            self._closing = True
+            thread = self._thread
+            self._stop.set()
+        if thread is not None:
+            thread.join()
+        with self._lock:
+            self._thread = None
+            handled = self._shutdown(drain)
+            self._closed = True
+            return handled
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close(drain=exc_info[0] is None)
+
+    # ------------------------------------------------------------------
+    # Shared checks and subclass hooks
+    # ------------------------------------------------------------------
+    def _check_open(self) -> None:
+        if self._closed:
+            raise ServiceUnavailableError("service is closed")
+
+    def _registered(self, name: str):
+        entry = self._fleet.get(name)
+        if entry is None:
+            raise UnknownTargetError(
+                f"no detector {name!r} registered; have {sorted(self._fleet)}"
+            )
+        return entry
+
+    def _forget(self, detector: str, session) -> None:
+        """Release what lives outside ``_sessions`` for a closed session."""
+
+    def _add(self, name, detector, model, threshold, window):  # pragma: no cover
+        raise NotImplementedError
+
+    def _swap(self, name, entry, detector, model) -> int:  # pragma: no cover
+        raise NotImplementedError
+
+    def _open(self, entry, detector, session_id, mode):  # pragma: no cover
+        raise NotImplementedError
+
+    def _shutdown(self, drain: bool) -> int:  # pragma: no cover
+        raise NotImplementedError
+
+
+class DetectionService(_FrontDoor):
+    """Micro-batched, multi-tenant scoring over a fleet of detectors.
+
+    Args:
+        config: batching/queueing knobs (:class:`ServiceConfig`).
+        clock: monotonic time source; injectable so tests can steer the
+            latency budget deterministically.
+    """
+
+    def __init__(
+        self,
+        config: ServiceConfig | None = None,
+        clock=time.monotonic,
+    ) -> None:
+        super().__init__(config)
+        self.clock = clock
+        self.stats = ServiceStats()
+        self._scheduler = MicroBatchScheduler(self.config, clock)
+
+    def queue_depth(self, name: str) -> int:
+        return self._registered(name).depth
 
     def note_gap(self, detector: str, session_id: str, count: int = 1) -> None:
         """Report ``count`` lost symbols on an open monitor/stream session.
@@ -296,8 +435,9 @@ class DetectionService:
         """
         if count < 1:
             raise ServiceError("note_gap count must be >= 1")
-        lane = self._lane(detector)
         with self._lock:
+            self._check_open()
+            lane = self._registered(detector)
             session = self._sessions.get((detector, session_id))
             if session is None or session.mode is SessionMode.WINDOW:
                 raise ServiceError(
@@ -331,32 +471,8 @@ class DetectionService:
         (monitor/stream sessions) must be given.  The ticket resolves at
         the request's drain — immediately under admission-control shed.
         """
-        if (window is None) == (symbol is None):
-            raise ServiceError("submit takes exactly one of window= or symbol=")
-        lane = self._lane(detector)
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            key = (detector, session_id)
-            session = self._sessions.get(key)
-            if session is None:
-                if symbol is not None:
-                    raise ServiceError(
-                        f"session {session_id!r} on {detector!r} is not open; "
-                        "open_session(..., mode='monitor'|'stream') before "
-                        "submitting symbols"
-                    )
-                session = self.open_session(detector, session_id, SessionMode.WINDOW)
-            if window is not None and session.mode is not SessionMode.WINDOW:
-                raise ServiceError(
-                    f"session {session_id!r} is a {session.mode.value} session; "
-                    "submit symbol=... instead of window=..."
-                )
-            if symbol is not None and session.mode is SessionMode.WINDOW:
-                raise ServiceError(
-                    f"session {session_id!r} is a window session; "
-                    "submit window=... instead of symbol=..."
-                )
+            lane, session = self._admit(detector, session_id, window, symbol)
             ticket = Ticket()
             request = PendingRequest(
                 ticket=ticket,
@@ -393,152 +509,97 @@ class DetectionService:
         pumping each lane on its own with ``pump(detector)``.
         """
         with self._lock:
+            self._check_open()
             if detector is not None:
-                lanes = [self._lane(detector)]
+                lanes = [self._registered(detector)]
             else:
-                lanes = list(self._lanes.values())
+                lanes = list(self._fleet.values())
             return self._scheduler.drain(lanes, self.stats)
-
-    def drain_pending(self) -> int:
-        """Pump until every queue is empty; returns total resolved."""
-        total = 0
-        while True:
-            resolved = self.pump()
-            if resolved == 0:
-                return total
-            total += resolved
 
     @property
     def pending(self) -> int:
         with self._lock:
-            return sum(lane.depth for lane in self._lanes.values())
+            return sum(lane.depth for lane in self._fleet.values())
 
     # ------------------------------------------------------------------
-    # Threaded deployment + shutdown
+    # Front-door hooks
     # ------------------------------------------------------------------
-    def start(self, interval_s: float = 0.001) -> None:
-        """Launch the background drain loop (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if self._thread is not None:
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, args=(interval_s,), name="repro-service", daemon=True
-            )
-            self._thread.start()
+    def _add(self, name, detector, model, threshold, window) -> DetectorLane:
+        return DetectorLane(
+            name=name,
+            detector=detector,
+            threshold=threshold,
+            window=window if window is not None else self.config.default_window,
+        )
 
-    def _run(self, interval_s: float) -> None:
-        while not self._stop.is_set():
-            try:
-                resolved = self.pump()
-            except Exception:
-                # drain() already resolved its popped tickets Failed; keep
-                # the loop alive so the rest of the backlog still drains
-                # (possibly also as Failed) instead of hanging forever.
-                log.exception("service drain loop: drain crashed; continuing")
-                telemetry.counter_add("service.drain_errors")
-                continue
-            if resolved == 0:
-                # Idle: sleep a beat instead of spinning.
-                self._stop.wait(interval_s)
+    def _swap(self, name, lane, detector, model) -> int:
+        drained = 0
+        while lane.queue:
+            drained += self._scheduler.drain([lane], self.stats)
+        lane.detector = detector
+        for (detector_name, _), session in self._sessions.items():
+            if detector_name == name:
+                session.swap_detector(detector)
+        return drained
 
-    def close(self, drain: bool = True) -> int:
-        """Shut down; returns how many pending requests were handled.
+    def _open(self, lane, detector, session_id, mode) -> Session:
+        return Session.open(
+            session_id=session_id,
+            detector_name=detector,
+            detector=lane.detector,
+            mode=mode,
+            window=lane.window,
+            threshold=lane.threshold,
+        )
 
-        ``drain=True`` (graceful) scores everything still queued before
-        refusing new work; ``drain=False`` resolves the backlog with
-        ``Overloaded(SHUTDOWN)`` so no ticket is ever left hanging.
-        """
-        with self._lock:
-            if self._closed:
-                return 0
-            thread = self._thread
-            self._stop.set()
-        if thread is not None:
-            thread.join()
-        with self._lock:
-            self._thread = None
-            handled = 0
-            if drain:
-                # Keep draining even if a batch crashes: drain() resolves
-                # its popped tickets Failed before raising, so every loop
-                # iteration makes progress and no ticket is left hanging.
-                while True:
-                    try:
-                        resolved = self.pump()
-                    except Exception:
-                        log.exception("close(): drain crashed; continuing")
-                        continue
-                    if resolved == 0:
-                        break
-                    handled += resolved
-            else:
-                for lane in self._lanes.values():
-                    while lane.queue:
-                        request = lane.queue.popleft()
-                        request.session.note_gap()
-                        request.ticket._resolve(
-                            Overloaded(
-                                detector=lane.name,
-                                session=request.session.session_id,
-                                reason=ShedReason.SHUTDOWN,
-                                depth=lane.depth,
-                                queued_s=max(
-                                    0.0, self.clock() - request.enqueued_at
-                                ),
-                            )
-                        )
-                        self.stats.count_shed(ShedReason.SHUTDOWN)
-                        handled += 1
-            self._closed = True
-            return handled
-
-    def __enter__(self) -> "DetectionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close(drain=exc_info[0] is None)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _lane(self, name: str) -> DetectorLane:
-        lane = self._lanes.get(name)
-        if lane is None:
-            raise ServiceError(
-                f"no detector {name!r} registered; have {sorted(self._lanes)}"
-            )
-        return lane
+    def _shutdown(self, drain: bool) -> int:
+        handled = 0
+        if drain:
+            # Keep draining even if a batch crashes: drain() resolves its
+            # popped tickets Failed before raising, so every iteration
+            # makes progress and no ticket is left hanging.
+            while True:
+                try:
+                    resolved = self.pump()
+                except Exception:
+                    log.exception("close(): drain crashed; continuing")
+                    continue
+                if resolved == 0:
+                    return handled
+                handled += resolved
+        for lane in self._fleet.values():
+            while lane.queue:
+                request = lane.queue.popleft()
+                request.session.note_gap()
+                request.ticket._resolve(
+                    Overloaded(
+                        detector=lane.name,
+                        session=request.session.session_id,
+                        reason=ShedReason.SHUTDOWN,
+                        depth=lane.depth,
+                        queued_s=max(0.0, self.clock() - request.enqueued_at),
+                    )
+                )
+                self.stats.count_shed(ShedReason.SHUTDOWN)
+                handled += 1
+        return handled
 
 
-def create_service(
-    config: ServiceConfig | None = None,
-    *,
-    shards: int = 1,
-    shard_config=None,
-):
+def create_service(config: ServiceConfig | None = None, *, shards: int = 1):
     """Build the right service for a shard count.
 
-    ``shards=1`` (and no explicit shard config) returns a plain in-process
-    :class:`DetectionService` — zero process overhead, today's exact
-    behavior.  Anything else returns a
+    ``shards=1`` returns a plain in-process :class:`DetectionService` —
+    zero process overhead.  Anything else returns a
     :class:`~repro.service.sharded.ShardedDetectionService` fanning the
-    identical API out over worker processes (a 1-shard sharded service is
-    still bit-identical to the in-process one; it just pays one worker).
+    identical API out over ``shards`` worker processes.
 
     Args:
         config: per-service (per-shard, when sharded) batching knobs.
-        shards: worker-process count; ignored when ``shard_config`` is given.
-        shard_config: a full :class:`~repro.service.config.ShardConfig` for
-            routing/restart knobs beyond the count.
+        shards: worker-process count.
     """
-    if shard_config is None and shards == 1:
+    if shards == 1:
         return DetectionService(config)
     from .config import ShardConfig
     from .sharded import ShardedDetectionService
 
-    if shard_config is None:
-        shard_config = ShardConfig(shards=shards)
-    return ShardedDetectionService(config, shard_config)
+    return ShardedDetectionService(config, ShardConfig(shards=shards))

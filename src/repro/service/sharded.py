@@ -52,23 +52,30 @@ import hashlib
 import itertools
 import logging
 import multiprocessing
-import threading
-from dataclasses import dataclass, field
-
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from .. import telemetry
-from ..core.detector import Detector
-from ..errors import NotFittedError, ServiceError
+from ..errors import ServiceError, ServiceUnavailableError
 from ..hmm.model import HiddenMarkovModel
 from .config import ServiceConfig, ShardConfig
 from .fleet import rebuild_detector
 from .outcomes import Failed, Ticket
-from .service import DetectionService, ServiceStats
+from .service import DetectionService, ServiceStats, _FrontDoor
 from .sessions import SessionMode
 from .shm import ModelAttachment, SharedModelSpec, SharedModelStore, attach_model
 
 log = logging.getLogger(__name__)
+
+#: Ring points per shard for the consistent-hash router.
+VIRTUAL_NODES = 64
+
+#: Workers fork where the platform can (the same preference
+#: :class:`repro.runtime.ParallelExecutor` has), else use its default.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
 
 __all__ = [
     "HashRing",
@@ -100,7 +107,7 @@ class HashRing:
     keeps cross-deployment session placement stable as a fleet grows.
     """
 
-    def __init__(self, shards: int, virtual_nodes: int = 64) -> None:
+    def __init__(self, shards: int, virtual_nodes: int = VIRTUAL_NODES) -> None:
         if shards <= 0:
             raise ServiceError("HashRing needs at least one shard")
         self.shards = shards
@@ -133,11 +140,6 @@ class ShardedServiceStats(ServiceStats):
 
     shard_crashes: int = 0
 
-    def as_dict(self) -> dict:
-        payload = super().as_dict()
-        payload["shard_crashes"] = self.shard_crashes
-        return payload
-
 
 def merge_stats_dicts(
     stats_dicts: Sequence[Mapping],
@@ -147,24 +149,15 @@ def merge_stats_dicts(
     """Fold per-shard ``ServiceStats.as_dict()`` payloads into fleet totals.
 
     Associative and commutative like the telemetry snapshot merge: counters
-    sum, high-water marks take the max, and the derived rates recompute
-    from the merged counters — so the fleet-wide view equals what one
-    process counting everything would have recorded.
+    sum, ``max_*`` high-water marks take the max, and the derived rates
+    recompute from the merged counters — so the fleet-wide view equals
+    what one process counting everything would have recorded.
     """
     merged = ShardedServiceStats(shard_crashes=shard_crashes)
     for stats in stats_dicts:
-        merged.submitted += stats["submitted"]
-        merged.scored += stats["scored"]
-        merged.streamed += stats["streamed"]
-        merged.absorbed += stats["absorbed"]
-        merged.failed += stats["failed"]
-        merged.shed_queue_full += stats["shed_queue_full"]
-        merged.shed_oldest += stats["shed_oldest"]
-        merged.shed_deadline += stats["shed_deadline"]
-        merged.shed_shutdown += stats["shed_shutdown"]
-        merged.batches += stats["batches"]
-        merged.max_batch_size = max(merged.max_batch_size, stats["max_batch_size"])
-        merged.max_depth_seen = max(merged.max_depth_seen, stats["max_depth_seen"])
+        for name in (f.name for f in fields(ServiceStats)):
+            fold = max if name.startswith("max_") else operator.add
+            setattr(merged, name, fold(getattr(merged, name), stats[name]))
     merged.failed += crash_failed
     return merged
 
@@ -187,20 +180,6 @@ def _sweep_resolved(conn, pending: dict) -> None:
         conn.send(("outcomes", done))
 
 
-def _drain_all(service: DetectionService) -> int:
-    """Pump until empty, surviving drain crashes (same loop as close())."""
-    total = 0
-    while True:
-        try:
-            resolved = service.pump()
-        except Exception:
-            log.exception("shard drain crashed; continuing")
-            continue
-        if resolved == 0:
-            return total
-        total += resolved
-
-
 def _shard_worker_main(
     parent_conn,
     conn,
@@ -211,7 +190,7 @@ def _shard_worker_main(
     """One shard: an unmodified :class:`DetectionService` driven over a pipe.
 
     The command loop is strictly FIFO — outcomes for a command flush before
-    its ack, so by the time the parent sees ``pumped``/``drained``/``closed``
+    its ack, so by the time the parent sees ``pumped``/``closed``
     every ticket that round resolved is already resolved parent-side too.
     """
     if parent_conn is not None:
@@ -272,32 +251,10 @@ def _shard_worker_main(
                     resolved = 0
                 _sweep_resolved(conn, pending)
                 conn.send(("pumped", resolved))
-            elif kind == "drain":
-                resolved = _drain_all(service)
-                _sweep_resolved(conn, pending)
-                conn.send(("drained", resolved))
-            elif kind == "register":
+            elif kind in ("register", "swap"):
                 _, name, spec, threshold, window, kind_value, context, det_name = (
                     message
                 )
-                try:
-                    attachment = attach_model(spec)
-                    detector = rebuild_detector(
-                        attachment.model,
-                        kind=kind_value,
-                        context=context,
-                        name=det_name,
-                    )
-                    service.register(
-                        name, detector, threshold=threshold, window=window
-                    )
-                except Exception as exc:
-                    conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                else:
-                    attachments[name] = attachment
-                    conn.send(("ok",))
-            elif kind == "swap":
-                _, name, spec, kind_value, context, det_name = message
                 attachment = None
                 try:
                     attachment = attach_model(spec)
@@ -307,21 +264,27 @@ def _shard_worker_main(
                         context=context,
                         name=det_name,
                     )
-                    drained = service.swap_detector(name, detector)
+                    if kind == "register":
+                        service.register(
+                            name, detector, threshold=threshold, window=window
+                        )
+                        reply = ("ok",)
+                    else:
+                        reply = ("swapped", service.swap_detector(name, detector))
                 except Exception as exc:
                     if attachment is not None:
                         attachment.close()
                     conn.send(("error", f"{type(exc).__name__}: {exc}"))
                 else:
-                    # The barrier drain scored the lane's backlog under the
-                    # old model; ship those outcomes before acking so the
-                    # parent resolves every pre-swap ticket first.
                     old = attachments.get(name)
                     attachments[name] = attachment
                     if old is not None:
                         old.close()
+                    # A swap's barrier drain scored the lane's backlog under
+                    # the old model; ship those outcomes before acking so
+                    # the parent resolves every pre-swap ticket first.
                     _sweep_resolved(conn, pending)
-                    conn.send(("swapped", drained))
+                    conn.send(reply)
             elif kind == "open_session":
                 _, detector, session_id, mode_value, pre_gapped = message
                 try:
@@ -418,14 +381,44 @@ class _Registration:
     context: bool | None
     detector_name: str | None
 
+    @classmethod
+    def of(
+        cls, detector, model, spec, threshold, window, default_kind="syscall"
+    ) -> "_Registration":
+        kind = getattr(detector, "kind", None)
+        return cls(
+            spec=spec,
+            model=model,
+            threshold=threshold,
+            window=window,
+            kind_value=kind.value if kind is not None else default_kind,
+            context=getattr(detector, "context", None),
+            detector_name=getattr(detector, "name", None),
+        )
 
-class ShardedDetectionService:
+    def command(self, kind: str, name: str) -> tuple:
+        """The ``register``/``swap`` pipe command; the model never travels,
+        only its shared-memory spec."""
+        return (
+            kind,
+            name,
+            self.spec,
+            self.threshold,
+            self.window,
+            self.kind_value,
+            self.context,
+            self.detector_name,
+        )
+
+
+class ShardedDetectionService(_FrontDoor):
     """The :class:`DetectionService` API, fanned out over worker processes.
 
-    Same registration/submission/outcome surface as the in-process service;
-    see the module docstring for what changes (outcome collection timing)
-    and what is guaranteed (bit-identity at one shard, no stranded tickets,
-    mergeable counters).
+    Same registration/submission/outcome surface — and the same front-door
+    checks and errors — as the in-process service; see the module
+    docstring for what changes (outcome collection timing) and what is
+    guaranteed (bit-identity at one shard, no stranded tickets, mergeable
+    counters).
 
     Args:
         config: per-shard batching/queueing knobs (each worker's
@@ -434,39 +427,24 @@ class ShardedDetectionService:
         shard_config: process fan-out knobs (:class:`ShardConfig`).
     """
 
+    _thread_name = "repro-sharded-service"
+
     def __init__(
         self,
         config: ServiceConfig | None = None,
         shard_config: ShardConfig | None = None,
     ) -> None:
-        self.config = config or ServiceConfig()
+        super().__init__(config)
         self.shard_config = shard_config or ShardConfig()
-        self._ring = HashRing(
-            self.shard_config.shards, self.shard_config.virtual_nodes
-        )
+        self._ring = HashRing(self.shard_config.shards)
         self._store = SharedModelStore()
-        self._registrations: dict[str, _Registration] = {}
-        self._sessions: dict[tuple[str, str], RemoteSession] = {}
         self._gapped: set[tuple[str, str]] = set()
         self._routes: dict[str, int] = {}
         self._req_ids = itertools.count()
-        self._lock = threading.RLock()
-        self._closed = False
-        self._closing = False
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self._shard_crashes = 0
         self._crash_failed = 0
         self._final_worker_stats: list[dict] = []
         self._final_stats: ShardedServiceStats | None = None
-        method = self.shard_config.start_method
-        if method is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-        self._ctx = multiprocessing.get_context(method)
         self._handles: list[_ShardHandle] = [
             self._spawn(index) for index in range(self.shard_config.shards)
         ]
@@ -475,8 +453,8 @@ class ShardedDetectionService:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spawn(self, index: int) -> _ShardHandle:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
+        parent_conn, child_conn = _CONTEXT.Pipe(duplex=True)
+        process = _CONTEXT.Process(
             target=_shard_worker_main,
             args=(parent_conn, child_conn, index, self.config, telemetry.enabled()),
             name=f"repro-shard-{index}",
@@ -491,8 +469,8 @@ class ShardedDetectionService:
         handle = self._spawn(index)
         self._handles[index] = handle
         try:
-            for name, registration in self._registrations.items():
-                self._register_into(handle, name, registration)
+            for name, registration in self._fleet.items():
+                self._request(handle, registration.command("register", name), "ok")
             for (detector, session_id), session in self._sessions.items():
                 if session.shard != index or session.mode is SessionMode.WINDOW:
                     continue
@@ -507,6 +485,20 @@ class ShardedDetectionService:
             # respawning again, or an instantly-crashing worker would spin
             # the parent in a fork loop.
             self._on_shard_death(handle, restart=False)
+
+    def _fail_inflight(self, handle: _ShardHandle, error: str) -> None:
+        """Resolve every ticket still in flight on ``handle`` as ``Failed``."""
+        for entry in handle.inflight.values():
+            if not entry.ticket.done():
+                entry.ticket._resolve(
+                    Failed(
+                        detector=entry.detector,
+                        session=entry.session_id,
+                        error=error,
+                    )
+                )
+                self._crash_failed += 1
+        handle.inflight.clear()
 
     def _on_shard_death(self, handle: _ShardHandle, restart: bool = True) -> None:
         """Resolve the dead shard's in-flight tickets and (maybe) respawn.
@@ -524,21 +516,14 @@ class ShardedDetectionService:
         except OSError:  # pragma: no cover
             pass
         handle.process.join(timeout=1.0)
-        for entry in handle.inflight.values():
-            if not entry.ticket.done():
-                entry.ticket._resolve(
-                    Failed(
-                        detector=entry.detector,
-                        session=entry.session_id,
-                        error=(
-                            f"shard {handle.index} worker (pid {pid}) died "
-                            "with this request in flight"
-                        ),
-                    )
-                )
-                self._crash_failed += 1
-            self._gapped.add((entry.detector, entry.session_id))
-        handle.inflight.clear()
+        self._gapped.update(
+            (entry.detector, entry.session_id) for entry in handle.inflight.values()
+        )
+        self._fail_inflight(
+            handle,
+            f"shard {handle.index} worker (pid {pid}) died "
+            "with this request in flight",
+        )
         handle.pending_acks = 0
         self._shard_crashes += 1
         telemetry.counter_add("service.shard.crashes")
@@ -559,7 +544,7 @@ class ShardedDetectionService:
     def _handle_for(self, shard: int) -> _ShardHandle:
         handle = self._handles[shard]
         if not handle.alive:
-            raise ServiceError(
+            raise ServiceUnavailableError(
                 f"shard {shard} is down (worker crashed and "
                 "restart_crashed_shards is off); surviving shards still serve"
             )
@@ -594,7 +579,7 @@ class ShardedDetectionService:
                 if entry is not None and not entry.ticket.done():
                     entry.ticket._resolve(outcome)
             return 0
-        if kind in ("pumped", "drained"):
+        if kind == "pumped":
             handle.pending_acks -= 1
             return message[1]
         raise ServiceError(
@@ -626,179 +611,148 @@ class ShardedDetectionService:
                 )
             self._dispatch(handle, reply)
 
-    def _register_into(
-        self, handle: _ShardHandle, name: str, registration: _Registration
-    ) -> None:
-        self._request(
-            handle,
-            (
-                "register",
-                name,
-                registration.spec,
-                registration.threshold,
-                registration.window,
-                registration.kind_value,
-                registration.context,
-                registration.detector_name,
-            ),
-            "ok",
+    def _live_handles(self):
+        return [handle for handle in self._handles if handle.alive]
+
+    # ------------------------------------------------------------------
+    # Front-door hooks
+    # ------------------------------------------------------------------
+    def _add(self, name, detector, model, threshold, window) -> _Registration:
+        """Publish the model once and register it in every live shard —
+        workers get a :class:`~repro.service.shm.SharedModelSpec`, never
+        the parameters."""
+        registration = _Registration.of(
+            detector, model, self._store.publish(model), threshold, window
+        )
+        for handle in self._live_handles():
+            try:
+                self._request(handle, registration.command("register", name), "ok")
+            except _ShardDied:
+                self._on_shard_death(handle)
+        return registration
+
+    def _swap(self, name, old, detector, model) -> int:
+        """Swap across the process boundary.
+
+        The new model is published once through the shared-memory store;
+        each worker drains its lane to empty under the *old* model (the
+        swap barrier) and then rebinds the lane and its open sessions in
+        place.  The parent-side registration is updated **before** any
+        worker swaps, so a shard that crashes and restarts mid-swap
+        re-resolves the new weights — never a stale copy.  The old model's
+        shared segment is released once every live shard has swapped.
+        """
+        registration = _Registration.of(
+            detector,
+            model,
+            self._store.publish(model),
+            old.threshold,
+            old.window,
+            default_kind=old.kind_value,
+        )
+        self._fleet[name] = registration
+        drained = 0
+        for handle in self._live_handles():
+            try:
+                reply = self._request(
+                    handle, registration.command("swap", name), "swapped"
+                )
+                drained += reply[1]
+            except _ShardDied:
+                self._on_shard_death(handle)
+        if old.model is not model:
+            try:
+                self._store.release(old.model)
+            except ServiceError:  # pragma: no cover - already released
+                pass
+        return drained
+
+    def _open(self, registration, detector, session_id, mode) -> RemoteSession:
+        """Open the session on its home shard; the returned
+        :class:`RemoteSession` is a descriptor, the sticky state lives in
+        the worker."""
+        shard = self.shard_of(session_id)
+        handle = self._handle_for(shard)
+        if mode is not SessionMode.WINDOW:
+            try:
+                self._request(
+                    handle,
+                    ("open_session", detector, session_id, mode.value, False),
+                    "ok",
+                )
+            except _ShardDied:
+                self._on_shard_death(handle)
+                raise ServiceUnavailableError(
+                    f"shard {shard} died while opening session "
+                    f"{session_id!r}"
+                ) from None
+        return RemoteSession(
+            session_id=session_id,
+            detector_name=detector,
+            mode=mode,
+            shard=shard,
         )
 
-    # ------------------------------------------------------------------
-    # Fleet registration
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        detector: Detector,
-        threshold: float | None = None,
-        window: int | None = None,
-    ) -> None:
-        """Publish the detector's model once and register it in every shard.
-
-        Mirrors :meth:`DetectionService.register` — same validation, same
-        lane semantics per shard — but ships a
-        :class:`~repro.service.shm.SharedModelSpec` instead of parameters.
-        """
-        if not detector.is_fitted:
-            raise NotFittedError(
-                f"detector {name!r} is not fitted; the service only scores"
-            )
-        model = getattr(detector, "model", None)
-        if not isinstance(model, HiddenMarkovModel):
-            raise ServiceError(
-                f"detector {name!r} exposes no HiddenMarkovModel via .model; "
-                "the micro-batched service scores HMM-backed detectors only "
-                "(n-gram/ensemble baselines are not servable)"
-            )
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if name in self._registrations:
-                raise ServiceError(f"detector {name!r} already registered")
-            spec = self._store.publish(model)
-            registration = _Registration(
-                spec=spec,
-                model=model,
-                threshold=threshold,
-                window=window,
-                kind_value=getattr(detector, "kind", None).value
-                if getattr(detector, "kind", None) is not None
-                else "syscall",
-                context=getattr(detector, "context", None),
-                detector_name=getattr(detector, "name", None),
-            )
-            for handle in self._handles:
-                if not handle.alive:
-                    continue
-                try:
-                    self._register_into(handle, name, registration)
-                except _ShardDied:
-                    self._on_shard_death(handle)
-            self._registrations[name] = registration
-
-    def register_fleet(
-        self,
-        detectors: Mapping[str, Detector],
-        thresholds: Mapping[str, float] | None = None,
-    ) -> None:
-        """Register many detectors at once (e.g. from
-        :func:`repro.service.fleet.load_fleet`)."""
-        thresholds = thresholds or {}
-        for name, detector in detectors.items():
-            self.register(name, detector, threshold=thresholds.get(name))
-
-    def swap_detector(self, name: str, detector: Detector) -> int:
-        """Warm-swap a retrained detector into every live shard.
-
-        Mirrors :meth:`DetectionService.swap_detector` across the process
-        boundary: the new model is published once through the
-        :class:`~repro.service.shm.SharedModelStore`, each worker drains
-        its lane to empty under the *old* model (the swap barrier — every
-        pre-swap ticket resolves bit-identical to the pre-swap detector)
-        and then rebinds the lane and its open sessions in place.  No
-        session is dropped or gap-marked, and the parent-side registration
-        is updated **before** any worker swaps, so a shard that crashes and
-        restarts mid-swap re-resolves the new weights — never a stale copy.
-
-        Returns how many pending requests the barrier drains resolved
-        across the fleet.  The old model's shared segment is released once
-        every live shard has swapped.
-        """
-        if not detector.is_fitted:
-            raise NotFittedError(
-                f"detector {name!r} is not fitted; the service only scores"
-            )
-        model = getattr(detector, "model", None)
-        if not isinstance(model, HiddenMarkovModel):
-            raise ServiceError(
-                f"detector {name!r} exposes no HiddenMarkovModel via .model; "
-                "the micro-batched service scores HMM-backed detectors only "
-                "(n-gram/ensemble baselines are not servable)"
-            )
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            old = self._registrations.get(name)
-            if old is None:
-                raise ServiceError(
-                    f"no detector {name!r} registered; "
-                    f"have {sorted(self._registrations)}"
+    def _forget(self, detector: str, session: RemoteSession) -> None:
+        """Close the session on its home shard too, and drop it from the
+        crash-restart re-open list so a restarted shard will not
+        resurrect it."""
+        self._gapped.discard((detector, session.session_id))
+        handle = self._handles[session.shard]
+        if session.mode is not SessionMode.WINDOW and handle.alive:
+            try:
+                self._request(
+                    handle, ("close_session", detector, session.session_id), "ok"
                 )
-            spec = self._store.publish(model)
-            registration = _Registration(
-                spec=spec,
-                model=model,
-                threshold=old.threshold,
-                window=old.window,
-                kind_value=getattr(detector, "kind", None).value
-                if getattr(detector, "kind", None) is not None
-                else old.kind_value,
-                context=getattr(detector, "context", None),
-                detector_name=getattr(detector, "name", None),
+            except _ShardDied:
+                self._on_shard_death(handle)
+
+    def _shutdown(self, drain: bool) -> int:
+        """Close every shard: merge its final stats and telemetry snapshot
+        into the parent, release every shared-memory segment, and resolve
+        any ticket a dying worker left behind as :class:`Failed`."""
+        handled = 0
+        for handle in self._live_handles():
+            try:
+                reply = self._request(handle, ("close", drain), "closed")
+            except _ShardDied:
+                self._on_shard_death(handle)
+                continue
+            _, shard_handled, stats_dict, snap = reply
+            handled += shard_handled
+            self._final_worker_stats.append(stats_dict)
+            if snap is not None:
+                telemetry.merge_snapshot(snap)
+            handle.alive = False
+            try:
+                handle.conn.close()
+            except OSError:  # pragma: no cover
+                pass
+            handle.process.join(timeout=5.0)
+            # Anything still inflight after a graceful close means the
+            # worker lost it; never strand the ticket.
+            self._fail_inflight(
+                handle,
+                f"shard {handle.index} closed without resolving this request",
             )
-            # Registration first: a crash-restart from here on rebuilds the
-            # shard with the new weights, not the superseded ones.
-            self._registrations[name] = registration
-            drained = 0
-            for handle in list(self._handles):
-                if not handle.alive:
-                    continue
-                try:
-                    reply = self._request(
-                        handle,
-                        (
-                            "swap",
-                            name,
-                            spec,
-                            registration.kind_value,
-                            registration.context,
-                            registration.detector_name,
-                        ),
-                        "swapped",
-                    )
-                    drained += reply[1]
-                except _ShardDied:
-                    self._on_shard_death(handle)
-            if old.model is not model:
-                try:
-                    self._store.release(old.model)
-                except ServiceError:  # pragma: no cover - already released
-                    pass
-            telemetry.counter_add("service.swaps")
-            return drained
+        self._store.close()
+        self._final_stats = merge_stats_dicts(
+            self._final_worker_stats,
+            shard_crashes=self._shard_crashes,
+            crash_failed=self._crash_failed,
+        )
+        return handled
 
-    @property
-    def detectors(self) -> tuple[str, ...]:
-        return tuple(self._registrations)
-
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
     @property
     def shards(self) -> int:
         return self.shard_config.shards
 
     @property
     def live_shards(self) -> int:
-        return sum(1 for handle in self._handles if handle.alive)
+        return len(self._live_handles())
 
     def shard_of(self, session_id: str) -> int:
         """Which shard a session routes to (consistent, cached)."""
@@ -808,141 +762,14 @@ class ShardedDetectionService:
             self._routes[session_id] = shard
         return shard
 
-    # ------------------------------------------------------------------
-    # Sessions
-    # ------------------------------------------------------------------
-    def open_session(
-        self,
-        detector: str,
-        session_id: str,
-        mode: SessionMode | str = SessionMode.WINDOW,
-    ) -> RemoteSession:
-        """Open (or fetch) the sticky session on its home shard.
-
-        Same contract as :meth:`DetectionService.open_session`, but the
-        sticky state lives inside the worker; the returned
-        :class:`RemoteSession` is a descriptor, not the state itself.
-        """
-        mode = SessionMode(mode)
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if detector not in self._registrations:
-                raise ServiceError(
-                    f"no detector {detector!r} registered; "
-                    f"have {sorted(self._registrations)}"
-                )
-            key = (detector, session_id)
-            existing = self._sessions.get(key)
-            if existing is not None:
-                if existing.mode is not mode:
-                    raise ServiceError(
-                        f"session {session_id!r} on {detector!r} is open in "
-                        f"{existing.mode.value} mode, not {mode.value}"
-                    )
-                return existing
-            shard = self.shard_of(session_id)
-            handle = self._handle_for(shard)
-            if mode is not SessionMode.WINDOW:
-                try:
-                    self._request(
-                        handle,
-                        ("open_session", detector, session_id, mode.value, False),
-                        "ok",
-                    )
-                except _ShardDied:
-                    self._on_shard_death(handle)
-                    raise ServiceError(
-                        f"shard {shard} died while opening session "
-                        f"{session_id!r}"
-                    ) from None
-            session = RemoteSession(
-                session_id=session_id,
-                detector_name=detector,
-                mode=mode,
-                shard=shard,
-            )
-            self._sessions[key] = session
-            return session
-
     def session_gapped(self, detector: str, session_id: str) -> bool:
         """Whether the parent knows this session's stream is discontinuous
         (a shed or a shard crash touched it)."""
         return (detector, session_id) in self._gapped
 
-    def close_session(self, detector: str, session_id: str) -> bool:
-        """Discard the session parent-side and on its home shard.
-
-        Same contract as :meth:`DetectionService.close_session`; a closed
-        session is also dropped from the crash-restart re-open list, so a
-        restarted shard will not resurrect it.
-        """
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if detector not in self._registrations:
-                raise ServiceError(
-                    f"no detector {detector!r} registered; "
-                    f"have {sorted(self._registrations)}"
-                )
-            key = (detector, session_id)
-            session = self._sessions.pop(key, None)
-            if session is None:
-                return False
-            self._gapped.discard(key)
-            if session.mode is not SessionMode.WINDOW:
-                shard = self.shard_of(session_id)
-                handle = self._handles[shard]
-                if handle.alive:
-                    try:
-                        self._request(
-                            handle, ("close_session", detector, session_id), "ok"
-                        )
-                    except _ShardDied:
-                        self._on_shard_death(handle)
-            return True
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _validate_submission(
-        self, detector: str, session_id: str, window, symbol
-    ) -> None:
-        """The same front-door checks DetectionService.submit makes, so
-        misuse raises synchronously here instead of Failed-ing remotely."""
-        if (window is None) == (symbol is None):
-            raise ServiceError("submit takes exactly one of window= or symbol=")
-        if detector not in self._registrations:
-            raise ServiceError(
-                f"no detector {detector!r} registered; "
-                f"have {sorted(self._registrations)}"
-            )
-        key = (detector, session_id)
-        session = self._sessions.get(key)
-        if session is None:
-            if symbol is not None:
-                raise ServiceError(
-                    f"session {session_id!r} on {detector!r} is not open; "
-                    "open_session(..., mode='monitor'|'stream') before "
-                    "submitting symbols"
-                )
-            self._sessions[key] = RemoteSession(
-                session_id=session_id,
-                detector_name=detector,
-                mode=SessionMode.WINDOW,
-                shard=self.shard_of(session_id),
-            )
-        elif window is not None and session.mode is not SessionMode.WINDOW:
-            raise ServiceError(
-                f"session {session_id!r} is a {session.mode.value} session; "
-                "submit symbol=... instead of window=..."
-            )
-        elif symbol is not None and session.mode is SessionMode.WINDOW:
-            raise ServiceError(
-                f"session {session_id!r} is a window session; "
-                "submit window=... instead of symbol=..."
-            )
-
     def submit(
         self,
         detector: str,
@@ -958,9 +785,7 @@ class ShardedDetectionService:
         :meth:`close`, or continuously under :meth:`start`.
         """
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            self._validate_submission(detector, session_id, window, symbol)
+            self._admit(detector, session_id, window, symbol)
             shard = self.shard_of(session_id)
             handle = self._handle_for(shard)
             self._collect_ready(handle)
@@ -992,14 +817,13 @@ class ShardedDetectionService:
         request.  ``windows`` is ``[(session_id, window), ...]``; tickets
         return in submission order."""
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
+            self._check_open()
             # Phase 1 — validate everything (and check the target shards are
             # up) before creating any ticket, so a rejected call leaves no
             # in-flight bookkeeping behind.
             routes: list[int] = []
             for session_id, window in windows:
-                self._validate_submission(detector, session_id, window, None)
+                self._admit(detector, session_id, window, None)
                 shard = self.shard_of(session_id)
                 self._handle_for(shard)
                 routes.append(shard)
@@ -1041,16 +865,14 @@ class ShardedDetectionService:
     def pump(self, detector: str | None = None) -> int:
         """One drain round on **every live shard, concurrently** — each
         worker drains its own lanes in parallel while the parent collects.
-        Returns how many requests the drains resolved."""
+        Returns how many requests the drains resolved (admission sheds
+        collected along the way don't count, matching
+        :meth:`DetectionService.pump`)."""
         with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if detector is not None and detector not in self._registrations:
-                raise ServiceError(
-                    f"no detector {detector!r} registered; "
-                    f"have {sorted(self._registrations)}"
-                )
-            live = [handle for handle in self._handles if handle.alive]
+            self._check_open()
+            if detector is not None:
+                self._registered(detector)
+            live = self._live_handles()
             for handle in live:  # broadcast first: shards drain in parallel
                 try:
                     handle.conn.send(("pump", detector))
@@ -1066,124 +888,11 @@ class ShardedDetectionService:
                         self._on_shard_death(handle)
             return total
 
-    def drain_pending(self) -> int:
-        """Pump until every shard's queues are empty; returns total
-        resolved (admission sheds collected along the way don't count,
-        matching :meth:`DetectionService.drain_pending`)."""
-        total = 0
-        while True:
-            resolved = self.pump()
-            if resolved == 0:
-                return total
-            total += resolved
-
     @property
     def pending(self) -> int:
         """Submissions whose outcome has not been collected yet."""
         with self._lock:
             return sum(len(handle.inflight) for handle in self._handles)
-
-    # ------------------------------------------------------------------
-    # Threaded deployment + shutdown
-    # ------------------------------------------------------------------
-    def start(self, interval_s: float = 0.001) -> None:
-        """Launch the background pump loop (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is closed")
-            if self._thread is not None:
-                return
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run,
-                args=(interval_s,),
-                name="repro-sharded-service",
-                daemon=True,
-            )
-            self._thread.start()
-
-    def _run(self, interval_s: float) -> None:
-        while not self._stop.is_set():
-            try:
-                resolved = self.pump()
-            except ServiceError:
-                return  # closed under us
-            except Exception:
-                log.exception("sharded pump loop: round crashed; continuing")
-                telemetry.counter_add("service.drain_errors")
-                continue
-            if resolved == 0:
-                self._stop.wait(interval_s)
-
-    def close(self, drain: bool = True) -> int:
-        """Shut every shard down; returns how many pending requests were
-        handled (scored under ``drain=True``, shed ``SHUTDOWN`` otherwise).
-
-        Merges each worker's final stats and telemetry snapshot back into
-        the parent before the process exits, releases every shared-memory
-        segment, and resolves any ticket a dying worker left behind as
-        :class:`Failed` — the invariant survives shutdown too.
-        """
-        with self._lock:
-            if self._closed:
-                return 0
-            self._closing = True
-            thread = self._thread
-            self._stop.set()
-        if thread is not None:
-            thread.join()
-        with self._lock:
-            self._thread = None
-            handled = 0
-            for handle in self._handles:
-                if not handle.alive:
-                    continue
-                try:
-                    reply = self._request(handle, ("close", drain), "closed")
-                except _ShardDied:
-                    self._on_shard_death(handle)
-                    continue
-                _, shard_handled, stats_dict, snap = reply
-                handled += shard_handled
-                self._final_worker_stats.append(stats_dict)
-                if snap is not None:
-                    telemetry.merge_snapshot(snap)
-                handle.alive = False
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                handle.process.join(timeout=5.0)
-                # Anything still inflight after a graceful close means the
-                # worker lost it; never strand the ticket.
-                for entry in handle.inflight.values():
-                    if not entry.ticket.done():
-                        entry.ticket._resolve(
-                            Failed(
-                                detector=entry.detector,
-                                session=entry.session_id,
-                                error=(
-                                    f"shard {handle.index} closed without "
-                                    "resolving this request"
-                                ),
-                            )
-                        )
-                        self._crash_failed += 1
-                handle.inflight.clear()
-            self._store.close()
-            self._final_stats = merge_stats_dicts(
-                self._final_worker_stats,
-                shard_crashes=self._shard_crashes,
-                crash_failed=self._crash_failed,
-            )
-            self._closed = True
-            return handled
-
-    def __enter__(self) -> "ShardedDetectionService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close(drain=exc_info[0] is None)
 
     # ------------------------------------------------------------------
     # Stats + telemetry
@@ -1200,9 +909,7 @@ class ShardedDetectionService:
             if self._final_stats is not None:
                 return self._final_stats
             dicts = list(self._final_worker_stats)
-            for handle in self._handles:
-                if not handle.alive:
-                    continue
+            for handle in self._live_handles():
                 try:
                     dicts.append(self._request(handle, ("stats",), "stats")[1])
                 except _ShardDied:
@@ -1222,9 +929,7 @@ class ShardedDetectionService:
         exactly-once.
         """
         with self._lock:
-            for handle in self._handles:
-                if not handle.alive:
-                    continue
+            for handle in self._live_handles():
                 try:
                     snap = self._request(handle, ("telemetry",), "telemetry")[1]
                 except _ShardDied:

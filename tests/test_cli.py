@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, service_config_from_args
+from repro.program import CallKind
+from repro.service import ServiceConfig
 
 
 class TestParser:
@@ -231,6 +233,25 @@ class TestGatewayParser:
         assert args.name == "served"
         assert args.shards == 1
         assert args.no_pump is False
+        assert args.result_timeout == 30.0
+        assert not hasattr(args, "latency_budget_ms")
+        serve = build_parser().parse_args(["serve", "m.npz", "t.log"])
+        assert serve.command == "serve"
+        assert serve.mode == "window"
+        assert serve.latency_budget_ms is None
+        # The serving flags both commands share, and the config they spell.
+        for parsed in (args, serve):
+            assert parsed.model_source == "m.npz"
+            assert parsed.kind is CallKind.SYSCALL
+            assert parsed.length == 15
+            assert parsed.threshold is None
+            assert parsed.shards == 1
+            assert parsed.batch == 256
+            assert parsed.queue_depth == 4096
+            assert parsed.policy == "reject-new"
+            assert service_config_from_args(parsed) == ServiceConfig(
+                max_batch=256, max_queue_depth=4096, default_window=15
+            )
 
     def test_gateway_flags(self):
         args = build_parser().parse_args(

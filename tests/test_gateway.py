@@ -416,6 +416,23 @@ class TestGatewayHTTP:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("session", ["plain", "closed", "shard-died-x"])
+    def test_status_follows_error_type_not_message(self, gateway_stack, session):
+        """A window posted to a stream session is a client mistake (400),
+        whatever words the client-chosen session id puts in the message."""
+        gateway, *_ = gateway_stack
+        status, _ = _request(
+            gateway, "POST", "/v1/sessions",
+            {"detector": "served", "session": session, "mode": "stream"},
+        )
+        assert status == 200
+        status, payload = _request(
+            gateway, "POST", f"/v1/sessions/served/{session}/observe",
+            {"window": ["open", "read", "write", "close", "read"]},
+        )
+        assert status == 400
+        assert "is a stream session" in payload["error"]
+
     def test_body_over_limit_413(self, gateway_stack):
         gateway, *_ = gateway_stack
         conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=10)

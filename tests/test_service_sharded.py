@@ -35,13 +35,16 @@ from repro.service import (
     RemoteSession,
     Scored,
     ServiceConfig,
+    ServiceStats,
     ShardConfig,
     ShardedDetectionService,
+    ShardedServiceStats,
     ShedReason,
     Streamed,
     create_service,
 )
 from repro.hmm import random_model
+from repro.service.sharded import merge_stats_dicts
 
 # Tier-2 stress selection: CI's stress-concurrency job loops `-m stress`.
 pytestmark = pytest.mark.stress
@@ -124,6 +127,35 @@ class TestHashRing:
     def test_rejects_zero_shards(self):
         with pytest.raises(ServiceError):
             HashRing(0)
+
+
+class TestMergeStatsDicts:
+    def test_counters_sum_high_water_marks_max_rates_recompute(self):
+        shard_a = ServiceStats(
+            submitted=10, scored=6, streamed=1, absorbed=1, failed=1,
+            shed_queue_full=1, batches=3, max_batch_size=4, max_depth_seen=7,
+        ).as_dict()
+        shard_b = ServiceStats(
+            submitted=30, scored=20, streamed=2, absorbed=0, failed=0,
+            shed_oldest=5, shed_deadline=2, shed_shutdown=1, batches=5,
+            max_batch_size=9, max_depth_seen=2,
+        ).as_dict()
+        merged = merge_stats_dicts(
+            [shard_a, shard_b], shard_crashes=2, crash_failed=3
+        )
+        assert merged == ShardedServiceStats(
+            submitted=40, scored=26, streamed=3, absorbed=1, failed=4,
+            shed_queue_full=1, shed_oldest=5, shed_deadline=2, shed_shutdown=1,
+            batches=8, max_batch_size=9, max_depth_seen=7, shard_crashes=2,
+        )
+        assert merged.shed_total == 9
+        assert merged.shed_rate == 9 / 40
+        payload = merged.as_dict()
+        assert (payload["shed_total"], payload["shed_rate"]) == (9, 9 / 40)
+
+    def test_no_shards_is_the_empty_fold(self):
+        assert merge_stats_dicts([]) == ShardedServiceStats()
+        assert merge_stats_dicts([]).shed_rate == 0.0
 
 
 class TestSingleShardBitIdentity:
@@ -262,7 +294,7 @@ class TestAdmissionAndShutdown:
 
     def test_background_loop_resolves_tickets(self, sharded):
         service = sharded(2)
-        service.start(interval_s=0.001)
+        service.start()
         tickets = service.submit_many(
             "d", [(f"sess-{i}", w) for i, w in enumerate(make_windows(20))]
         )
@@ -433,7 +465,9 @@ class TestTelemetryParity:
 
 
 class TestValidationParity:
-    """The parent front door raises the same errors as DetectionService."""
+    """The parent front door raises the same errors as DetectionService;
+    ``tests/test_service_front_door.py`` also pins exact type and message
+    parity for both classes."""
 
     def test_register_rejects_unfitted(self, sharded):
         service = sharded(1)
@@ -481,8 +515,6 @@ class TestValidationParity:
     def test_shard_config_validation(self):
         with pytest.raises(ServiceError):
             ShardConfig(shards=0)
-        with pytest.raises(ServiceError):
-            ShardConfig(shards=2, virtual_nodes=0)
 
 
 class TestFactories:
@@ -502,14 +534,6 @@ class TestFactories:
         assert isinstance(service, ShardedDetectionService)
         service.close()
         assert isinstance(api.open_service(), DetectionService)
-
-    def test_explicit_shard_config_wins(self):
-        service = create_service(
-            shard_config=ShardConfig(shards=3, virtual_nodes=8)
-        )
-        assert isinstance(service, ShardedDetectionService)
-        assert service.shards == 3
-        service.close()
 
 
 class TestWarmSwapSharded:
@@ -556,7 +580,7 @@ class TestWarmSwapSharded:
         retrained = random_model(SYMBOLS, n_states=4, seed=12)
         registry.publish("d", retrained, activate=True)
 
-        service.start(interval_s=0.001)  # threaded pump owns draining now
+        service.start()  # threaded pump owns draining now
         session = next(
             f"s{i}" for i in range(100) if service.shard_of(f"s{i}") == 0
         )
