@@ -549,15 +549,12 @@ class DetectionGateway:
     # ------------------------------------------------------------------
     def _health(self) -> dict:
         info = {
-            "status": "ok",
+            "status": "closed" if self.service.closed else "ok",
             "detectors": sorted(self.service.detectors),
             "lineages": list(self.registry.lineages()),
             "uptime_s": time.monotonic() - self._t0,
+            "pending": self.service.pending,
         }
-        try:
-            info["pending"] = self.service.pending
-        except ServiceError:
-            info["status"] = "closed"
         shards = getattr(self.service, "shards", None)
         if isinstance(shards, int):
             info["shards"] = shards

@@ -242,7 +242,7 @@ class CompiledBackend(KernelBackend):
         """Per-row scores via the C scales kernel + numpy log/sum.
 
         Reduction-order note: the numpy path logs a (tile, T) panel and
-        row-sums ``scales[:rows]`` per 512-row tile; both ``np.log``
+        row-sums ``scales[:rows]`` per tile; both ``np.log``
         (elementwise) and the per-row pairwise sum over T depend only on
         each row's own bits, so logging and summing the full (B, T)
         panel at once is bit-identical — and the probes verify it.

@@ -17,10 +17,12 @@ Three things live here:
   loop never needs a separate monitoring pass over the training set.
 * :func:`score_sequences` — a tiled, scales-only forward pass for bulk
   scoring.  It keeps only a (tile, N) working set instead of materializing
-  the full (B, T, N) forward variables, and is **batch-invariant**: every
-  matmul runs at a fixed (tile, N) shape (partial tiles are padded), so a
-  row's score is a pure function of the row's content — scoring any subset
-  of a batch is bit-identical to scoring the full batch.
+  the full (B, T, N) forward variables, and is **batch-invariant**: full
+  tiles run at (tile, N) and a partial final tile is padded only up to
+  :func:`gemm_height` — a GEMM-unit multiple measured per-row
+  bit-identical to the full tile — so a row's score is a pure function of
+  the row's content (scoring any subset of a batch is bit-identical to
+  scoring the full batch) and a small call pays for the rows it scores.
 * :func:`log_likelihood_unique` — duplicate-aware scoring: hash rows,
   score each distinct window once, scatter the results back through the
   inverse index.  Sliding windows over repetitive call streams (the eval
@@ -69,19 +71,24 @@ Bit-identity notes (the contracts ``tests/test_kernels.py`` pins):
   shape: a single row dispatches to gemv, odd row counts trigger edge
   micro-kernels for some N (observed at N mod 8 in {1, 2, 3}, N ≥ 17),
   and different size regimes pick different blockings — all with
-  last-bit differences.  The scoring kernel therefore pins its GEMM
-  height (see :func:`score_sequences`); the EM kernels are compared
-  against a reference with identical operand shapes and layouts.
-* Per-row GEMM results *are* stable across heights once the height is a
-  multiple of :data:`FLEET_GEMM_UNIT` (= 8): measured over N in 2..64,
-  ``(X @ A)[:h]`` differs from ``X[:h] @ A`` only at h in {1, 2, 3, 5}
-  (gemv and the odd-row edge kernels above), and a batched 3-D
-  ``np.matmul`` is bit-identical per (H, N) slice to the 2-D call.  That
-  is what lets :func:`score_fleet` pad each drain's slice height to a
-  multiple of 8 instead of :data:`SCORE_TILE` and stay bit-identical to
-  the 512-row tiles — the property is re-verified at runtime by the
-  bench's exit-1 gate and the differential suites, so a BLAS that
-  breaks it fails loudly instead of scoring differently.
+  last-bit differences.  The scoring kernels therefore choose every GEMM
+  height through one rule, :func:`gemm_height`; the EM kernels are
+  compared against a reference with identical operand shapes and
+  layouts.
+* Per-row GEMM results are *mostly* stable across heights that are a
+  multiple of :data:`FLEET_GEMM_UNIT` (= 8): on OpenBLAS,
+  ``(X @ A)[:h]`` equals ``X[:h] @ A`` at every such h for N in 2..48
+  and for N mod 8 in {5, 6, 7, 0} up to at least 99 (17, 34, 79 and 80
+  included), but not for N mod 8 in {1, 2, 3, 4} from N = 49 up while
+  ``h·N² <= 10**6``, where OpenBLAS runs its small-matrix kernel.  A
+  batched 3-D ``np.matmul`` is bit-identical per (H, N) slice to the
+  2-D call.  :func:`gemm_height` therefore pads a partial block to the
+  next multiple of 8 only when a probe at that (N, height) matches the
+  full tile, and to :data:`SCORE_TILE` otherwise; both
+  :func:`score_sequences`' tail tile and :func:`score_fleet`'s slabs use
+  it.  ``tests/test_kernels.py`` and the bench's exit-1 gates re-verify
+  the result, so a BLAS that breaks it fails loudly instead of scoring
+  differently.
 """
 
 from __future__ import annotations
@@ -114,11 +121,17 @@ SCORE_TILE = 512
 #: therefore score) identically.
 _DEDUP_SEED = 0x5EED_CA11
 
-#: GEMM heights that are a multiple of this are per-row bit-identical to
-#: any other multiple (including :data:`SCORE_TILE`) on the BLAS builds we
-#: target — see the module docstring.  :func:`score_fleet` pads its slice
-#: height up to this unit.
+#: Partial blocks are padded up to a multiple of this many rows: below it
+#: BLAS dispatches to gemv and odd-row edge kernels whose per-row results
+#: depend on the height — see the module docstring and :func:`gemm_height`.
 FLEET_GEMM_UNIT = 8
+
+#: Fixed seed for the operands :func:`gemm_height` probes with.
+_HEIGHT_PROBE_SEED = 0x7A11_0008
+
+#: ``(n_states, height, tile) -> bool``: whether a ``height``-row GEMM is
+#: per-row bit-identical to a ``tile``-row one (see :func:`gemm_height`).
+_HEIGHT_VERDICTS: dict[tuple[int, int, int], bool] = {}
 
 __all__ = [
     "FLEET_GEMM_UNIT",
@@ -131,6 +144,7 @@ __all__ = [
     "em_forward",
     "em_step",
     "em_update",
+    "gemm_height",
     "log_likelihood_fleet",
     "log_likelihood_grouped",
     "log_likelihood_unique",
@@ -166,14 +180,17 @@ def score_sequences(
     """Per-sequence ``log P(O | λ)`` via a tiled, scales-only forward pass.
 
     Every row's score is a pure function of that row's content: the
-    recursion runs in tiles of *exactly* ``tile`` rows — a partial final
-    tile is padded with throwaway rows — so every matmul the kernel issues
-    has the same (tile, N) shape no matter how large the batch is.  BLAS
-    GEMM results are only reproducible per-row when the operand shapes
-    match (a gemv-dispatched single row, or the odd-row edge kernels some
-    N trigger, accumulate in a different order), so the fixed tile height
-    is what makes scoring *batch-invariant*: scoring a subset of rows is
-    bit-identical to scoring them inside any larger batch.
+    recursion runs in tiles of ``tile`` rows, and a partial final tile is
+    padded with throwaway rows up to :func:`gemm_height` — the next
+    multiple of :data:`FLEET_GEMM_UNIT` where that height is per-row
+    bit-identical to the full tile on the running BLAS, ``tile`` where it
+    is not.  BLAS GEMM results are only reproducible per-row at matching
+    operand shapes (a gemv-dispatched single row, the odd-row edge
+    kernels some N trigger, or a small-matrix kernel accumulate in a
+    different order), so that rule is what makes scoring
+    *batch-invariant*: scoring a subset of rows is bit-identical to
+    scoring them inside any larger batch, while a one-window call scores
+    8 rows instead of 512 wherever the probe passes.
     :func:`log_likelihood_unique` relies on exactly this property.
 
     It never materializes the (B, T, N) forward variables — each tile
@@ -207,24 +224,27 @@ def _score_sequences_numpy(
     transition = model.transition
     n = model.n_states
     tile = max(int(tile), 1)
-    alpha = np.empty((tile, n))
-    product = np.empty((tile, n))
-    gather = np.empty((tile, n))
-    scales = np.empty((tile, length))
-    padded: np.ndarray | None = None
+    # Sized for the tallest block (the first); a partial final block
+    # works in the leading rows of the same buffers.
+    height = gemm_height(min(batch, tile), n, tile)
+    alpha_buf = np.empty((height, n))
+    product_buf = np.empty((height, n))
+    gather_buf = np.empty((height, n))
+    scales_buf = np.empty((height, length))
     for start in range(0, batch, tile):
         stop = min(start + tile, batch)
         rows = stop - start
-        if rows == tile:
-            block = obs[start:stop]
-        else:
-            # Partial tile: pad with symbol-0 rows so the GEMM height stays
-            # fixed; the padding's scores are computed and discarded.
-            if padded is None:
-                padded = np.zeros((tile, length), dtype=obs.dtype)
-            padded[:rows] = obs[start:stop]
-            padded[rows:] = 0
-            block = padded
+        height = gemm_height(rows, n, tile)
+        block = obs[start:stop]
+        if height != rows:
+            # Pad with symbol-0 rows up to the GEMM height; the padding's
+            # scores are computed and discarded.
+            block = np.zeros((height, length), dtype=obs.dtype)
+            block[:rows] = obs[start:stop]
+        alpha = alpha_buf[:height]
+        product = product_buf[:height]
+        gather = gather_buf[:height]
+        scales = scales_buf[:height]
         np.take(emission_t, block[:, 0], axis=0, out=gather)
         np.multiply(initial, gather, out=alpha)
         norm = scales[:, 0]
@@ -242,6 +262,41 @@ def _score_sequences_numpy(
         np.log(scales, out=scales)
         np.sum(scales[:rows], axis=1, out=out[start:stop])
     return out
+
+
+def gemm_height(rows: int, n_states: int, tile: int = SCORE_TILE) -> int:
+    """The GEMM height a block of ``rows`` (1..``tile``) rows is scored at.
+
+    ``rows`` rounded up to a multiple of :data:`FLEET_GEMM_UNIT` when a
+    (height, N) @ (N, N) product is per-row bit-identical to the
+    (``tile``, N) one on the running BLAS, ``tile`` otherwise.  Both
+    scoring kernels pad their partial blocks to this height, so a small
+    call pays for the rows it scores while every row's score stays a pure
+    function of its content (see the module docstring).
+
+    The verdict is measured once per ``(n_states, height, tile)`` by
+    multiplying fixed random operands at both heights: the accumulation
+    order a GEMM uses depends on the operand shapes alone, so random data
+    exposes any difference.  The rounding alone is not enough —
+    OpenBLAS, for one, runs a separate small-matrix kernel while
+    ``M·N·K <= 10**6`` whose per-row results differ from the blocked
+    kernel's for some N (e.g. N = 73 below height 192).
+    """
+    height = -(-rows // FLEET_GEMM_UNIT) * FLEET_GEMM_UNIT
+    if height >= tile:
+        return tile
+    key = (n_states, height, tile)
+    verdict = _HEIGHT_VERDICTS.get(key)
+    if verdict is None:
+        # A benign race: concurrent probes compute the same verdict.
+        rng = np.random.default_rng(_HEIGHT_PROBE_SEED)
+        operand = rng.random((tile, n_states))
+        transition = rng.random((n_states, n_states))
+        verdict = np.array_equal(
+            operand[:height] @ transition, (operand @ transition)[:height]
+        )
+        _HEIGHT_VERDICTS[key] = verdict
+    return height if verdict else tile
 
 
 _MULTIPLIER_CACHE: dict[int, np.ndarray] = {}
@@ -364,13 +419,13 @@ def score_fleet(
     launches per drain, regardless of fleet size.
 
     Bit-identity with :func:`score_sequences` (and therefore with the
-    per-detector drain) rests on the height-invariance property in the
-    module docstring: each model's rows sit in a (H, N) slice whose height
-    H is the fleet's max batch padded up to a multiple of
-    :data:`FLEET_GEMM_UNIT`, and per-slice batched-matmul results equal
-    the 2-D calls the tiled kernel issues.  ``tests/test_kernels.py`` and
-    the exit-1 gate in ``benchmarks/bench_streaming_forward.py`` enforce
-    this at runtime.
+    per-detector drain) rests on the height rule in the module docstring:
+    the rows are walked in slabs of up to :data:`SCORE_TILE` rows per
+    model, each model's slab sits in a (H, N) slice whose height H is
+    :func:`gemm_height` of the slab's tallest slice, and per-slice
+    batched-matmul results equal the 2-D calls the tiled kernel issues.
+    ``tests/test_kernels.py`` and the exit-1 gate in
+    ``benchmarks/bench_streaming_forward.py`` enforce this at runtime.
 
     Args:
         models: fleet sharing one ``(n_states, n_symbols)`` shape.
@@ -416,36 +471,42 @@ def _score_fleet_numpy(
     length = obs_list[0].shape[1]
     fleet = len(models)
     batches = [obs.shape[0] for obs in obs_list]
-    height = -(-max(batches) // FLEET_GEMM_UNIT) * FLEET_GEMM_UNIT
-    # Padding rows are symbol 0, exactly like score_sequences' partial
-    # tiles: their scores are computed and discarded.
-    block = np.zeros((fleet, height, length), dtype=np.int64)
-    for d, obs in enumerate(obs_list):
-        block[d, : obs.shape[0]] = obs
     transition = np.stack([model.transition for model in models])
     emission_t = np.stack(
         [np.ascontiguousarray(model.emission.T) for model in models]
     )  # (D, M, N)
     initial = np.stack([model.initial for model in models])[:, None, :]
     didx = np.arange(fleet)[:, None]
-
-    alpha = np.empty((fleet, height, n))
-    product = np.empty((fleet, height, n))
-    scales = np.empty((fleet, height, length))
-    np.multiply(initial, emission_t[didx, block[:, :, 0]], out=alpha)
-    norm = scales[:, :, 0]
-    np.sum(alpha, axis=2, out=norm)
-    np.maximum(norm, SCALE_FLOOR, out=norm)
-    alpha /= norm[:, :, None]
-    for t in range(1, length):
-        np.matmul(alpha, transition, out=product)
-        np.multiply(product, emission_t[didx, block[:, :, t]], out=alpha)
-        norm = scales[:, :, t]
+    out = [np.empty(rows) for rows in batches]
+    # Slabs of up to SCORE_TILE rows per model, like score_sequences'
+    # tiles; a slab's height is its tallest slice's gemm_height.
+    for start in range(0, max(batches), SCORE_TILE):
+        counts = [min(max(rows - start, 0), SCORE_TILE) for rows in batches]
+        height = gemm_height(max(counts), n)
+        # Padding rows are symbol 0, exactly like score_sequences' partial
+        # tiles: their scores are computed and discarded.
+        block = np.zeros((fleet, height, length), dtype=np.int64)
+        for d, (obs, count) in enumerate(zip(obs_list, counts)):
+            block[d, :count] = obs[start : start + count]
+        alpha = np.empty((fleet, height, n))
+        product = np.empty((fleet, height, n))
+        scales = np.empty((fleet, height, length))
+        np.multiply(initial, emission_t[didx, block[:, :, 0]], out=alpha)
+        norm = scales[:, :, 0]
         np.sum(alpha, axis=2, out=norm)
         np.maximum(norm, SCALE_FLOOR, out=norm)
         alpha /= norm[:, :, None]
-    np.log(scales, out=scales)
-    return [np.sum(scales[d, :rows], axis=1) for d, rows in enumerate(batches)]
+        for t in range(1, length):
+            np.matmul(alpha, transition, out=product)
+            np.multiply(product, emission_t[didx, block[:, :, t]], out=alpha)
+            norm = scales[:, :, t]
+            np.sum(alpha, axis=2, out=norm)
+            np.maximum(norm, SCALE_FLOOR, out=norm)
+            alpha /= norm[:, :, None]
+        np.log(scales, out=scales)
+        for d, count in enumerate(counts):
+            np.sum(scales[d, :count], axis=1, out=out[d][start : start + count])
+    return out
 
 
 def log_likelihood_fleet(

@@ -11,6 +11,7 @@ models, static-analysis-derived for STILO/CMarkov) lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,15 +110,38 @@ class HiddenMarkovModel:
             )
         return unk
 
-    def encode(self, sequences: Iterable[Sequence[str]]) -> np.ndarray:
-        """Encode equal-length symbol sequences into an (B, T) int array."""
-        encoded = [[self.encode_symbol(s) for s in seq] for seq in sequences]
-        if not encoded:
+    def encode(self, sequences: Iterable[Iterable[str]]) -> np.ndarray:
+        """Encode equal-length symbol sequences into an (B, T) int array.
+
+        One C-level pass over every symbol (``dict.get`` mapped over the
+        flattened batch, UNK as the default, straight into the array)
+        instead of one Python call per symbol.  Equal, element for element
+        and error for error, to
+        ``[[encode_symbol(s) for s in seq] for seq in sequences]``.
+        """
+        rows = [seq if isinstance(seq, (tuple, list)) else tuple(seq) for seq in sequences]
+        try:
+            codes = np.fromiter(
+                map(
+                    self._symbol_index.get,
+                    chain.from_iterable(rows),
+                    repeat(self.unknown_index),
+                ),
+                dtype=np.int64,
+                count=sum(map(len, rows)),
+            )
+        except TypeError:
+            # ``get`` gave None: a symbol outside a no-UNK alphabet.  The
+            # per-symbol path raises its error for the first one.
+            for symbol in chain.from_iterable(rows):
+                self.encode_symbol(symbol)
+            raise
+        if not rows:
             raise ModelError("no sequences to encode")
-        lengths = {len(seq) for seq in encoded}
+        lengths = set(map(len, rows))
         if len(lengths) != 1:
             raise ModelError(f"sequences must share one length, got {sorted(lengths)}")
-        return np.asarray(encoded, dtype=np.int64)
+        return codes.reshape(len(rows), lengths.pop())
 
     def copy(self) -> "HiddenMarkovModel":
         return HiddenMarkovModel(

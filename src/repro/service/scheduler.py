@@ -337,13 +337,7 @@ class MicroBatchScheduler:
                 try:
                     if not window:
                         raise ModelError("cannot score an empty window")
-                    rows.append(
-                        np.fromiter(
-                            (model.encode_symbol(symbol) for symbol in window),
-                            dtype=np.int64,
-                            count=len(window),
-                        )
-                    )
+                    rows.append(model.encode((window,))[0])
                 except ModelError as exc:
                     request.ticket._resolve(
                         Failed(

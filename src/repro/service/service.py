@@ -221,6 +221,12 @@ class _FrontDoor:
     def detectors(self) -> tuple[str, ...]:
         return tuple(self._fleet)
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run: every later call but ``close``
+        raises :class:`~repro.errors.ServiceUnavailableError`."""
+        return self._closed
+
     # ------------------------------------------------------------------
     # Sessions
     # ------------------------------------------------------------------

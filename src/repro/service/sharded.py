@@ -639,8 +639,10 @@ class ShardedDetectionService(_FrontDoor):
         swap barrier) and then rebinds the lane and its open sessions in
         place.  The parent-side registration is updated **before** any
         worker swaps, so a shard that crashes and restarts mid-swap
-        re-resolves the new weights — never a stale copy.  The old model's
-        shared segment is released once every live shard has swapped.
+        re-resolves the new weights — never a stale copy.  Once every live
+        shard has swapped, the old registration's store reference is
+        dropped — always, so swapping the same model back in nets zero;
+        the segment is unlinked when no registration holds it.
         """
         registration = _Registration.of(
             detector,
@@ -660,11 +662,10 @@ class ShardedDetectionService(_FrontDoor):
                 drained += reply[1]
             except _ShardDied:
                 self._on_shard_death(handle)
-        if old.model is not model:
-            try:
-                self._store.release(old.model)
-            except ServiceError:  # pragma: no cover - already released
-                pass
+        try:
+            self._store.release(old.model)
+        except ServiceError:  # pragma: no cover - already released
+            pass
         return drained
 
     def _open(self, registration, detector, session_id, mode) -> RemoteSession:

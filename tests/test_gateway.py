@@ -34,6 +34,8 @@ from repro.service import (
     Overloaded,
     Scored,
     ServiceConfig,
+    ShardConfig,
+    ShardedDetectionService,
     ShedReason,
     Streamed,
 )
@@ -555,6 +557,30 @@ class TestGatewayHTTP:
         assert "repro_gateway_requests_total" in text
         assert "repro_gateway_latency_s_bucket" in text
         assert "repro_service_submitted_total" in text
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["in-process", "1-shard"])
+    def test_health_reports_closed_after_admin_close(self, sharded):
+        config = ServiceConfig(max_batch=32, default_window=5)
+        service = (
+            ShardedDetectionService(config, ShardConfig(shards=1))
+            if sharded
+            else DetectionService(config)
+        )
+        model = random_model(SYMBOLS, n_states=3, seed=1)
+        service.register("served", PretrainedDetector(model, name="served"))
+        gateway = DetectionGateway(service, ModelRegistry(), GatewayConfig())
+        gateway.start()
+        try:
+            assert _request(gateway, "GET", "/health")[1]["status"] == "ok"
+            status, _ = _request(gateway, "POST", "/v1/admin/close", {"drain": True})
+            assert status == 200
+            status, payload = _request(gateway, "GET", "/health")
+            assert status == 200
+            assert payload["status"] == "closed"
+            assert payload["pending"] == 0
+        finally:
+            gateway.stop()
+            service.close(drain=False)
 
     def test_admin_close_then_503(self, gateway_stack):
         gateway, *_ = gateway_stack

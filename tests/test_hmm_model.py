@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.hmm import (
@@ -103,6 +105,107 @@ class TestEncoding:
         model = _valid_model()
         with pytest.raises(ModelError):
             model.encode([])
+
+
+def _reference_encode(model, sequences):
+    """The per-symbol encoder :meth:`HiddenMarkovModel.encode` replaces."""
+    encoded = [[model.encode_symbol(s) for s in seq] for seq in sequences]
+    if not encoded:
+        raise ModelError("no sequences to encode")
+    lengths = {len(seq) for seq in encoded}
+    if len(lengths) != 1:
+        raise ModelError(f"sequences must share one length, got {sorted(lengths)}")
+    return np.asarray(encoded, dtype=np.int64)
+
+
+def _outcome(encode, model, sequences):
+    try:
+        return encode(model, sequences)
+    except ModelError as exc:
+        return str(exc)
+
+
+_CONTAINERS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda items: (item for item in items),
+}
+
+
+@st.composite
+def encode_case(draw):
+    """A model with or without an UNK slot and a batch of sequences that
+    is sometimes ragged, empty, zero-length or holds unknown symbols."""
+    alphabet = [f"s{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    with_unk = draw(st.booleans())
+    symbols = tuple(alphabet) + ((UNKNOWN_SYMBOL,) if with_unk else ())
+    model = HiddenMarkovModel(
+        transition=np.eye(1),
+        emission=np.full((1, len(symbols)), 1.0 / len(symbols)),
+        initial=np.ones(1),
+        symbols=symbols,
+    )
+    pool = alphabet + (["zzz", "yy"] if draw(st.booleans()) else [])
+    length = draw(st.integers(min_value=0, max_value=6))
+    lengths = st.integers(min_value=0, max_value=6) if draw(st.booleans()) else st.just(length)
+    sequences = draw(
+        st.lists(
+            lengths.flatmap(lambda n: st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+            max_size=5,
+        )
+    )
+    outer = draw(st.sampled_from(sorted(_CONTAINERS)))
+    inner = draw(st.sampled_from(sorted(_CONTAINERS)))
+    return model, sequences, outer, inner
+
+
+class TestVectorizedEncoder:
+    """``encode`` is one C-level pass; it must agree with the per-symbol
+    reference on every input — values, dtype, shape and errors."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(encode_case())
+    def test_matches_per_symbol_reference(self, case):
+        model, sequences, outer, inner = case
+
+        def build():
+            return _CONTAINERS[outer](_CONTAINERS[inner](seq) for seq in sequences)
+
+        got = _outcome(HiddenMarkovModel.encode, model, build())
+        want = _outcome(_reference_encode, model, build())
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_unknown_without_unk_slot_names_the_first_offender(self):
+        model = HiddenMarkovModel(
+            transition=np.eye(1),
+            emission=np.full((1, 2), 0.5),
+            initial=np.ones(1),
+            symbols=("a", "b"),
+        )
+        with pytest.raises(ModelError) as excinfo:
+            model.encode([("a", "b"), ("zzz", "yy")])
+        assert str(excinfo.value) == (
+            f"symbol 'zzz' not in alphabet and no {UNKNOWN_SYMBOL} slot"
+        )
+
+    def test_ragged_message(self):
+        with pytest.raises(ModelError, match=r"share one length, got \[1, 2\]"):
+            _valid_model().encode([("s0",), ("s0", "s1")])
+
+    def test_empty_input_message(self):
+        with pytest.raises(ModelError, match="no sequences to encode"):
+            _valid_model().encode(iter(()))
+
+    def test_zero_length_sequences_encode_to_an_empty_row_block(self):
+        obs = _valid_model().encode([(), ()])
+        assert obs.shape == (2, 0)
+        assert obs.dtype == np.int64
 
 
 class TestAlphabetHelper:

@@ -5,7 +5,9 @@ Three contracts, each pinned bit-for-bit:
 * the fused E-step equals a naive per-timestep reference implementation
   kept in this file (same operation order, plain numpy, fresh arrays);
 * duplicate-aware scoring equals plain scoring for arbitrary duplicated
-  batches, including the all-duplicate and all-unique extremes, and the
+  batches, including the all-duplicate and all-unique extremes; scoring
+  is batch-invariant over the served shapes whatever height a partial
+  tile pads to (:func:`~repro.hmm.kernels.gemm_height`); and the
   grouped entry for ragged, many-model batches equals duplicate-aware
   scoring run per model and per length;
 * an :class:`~repro.hmm.kernels.EMWorkspace` shared across ``train()``
@@ -33,7 +35,15 @@ from repro.hmm import (
     train,
 )
 from repro.hmm.backends import backend_scope, resolve_backend
-from repro.hmm.kernels import SCALE_FLOOR, SCORE_TILE, em_step, score_sequences
+from repro.hmm.kernels import (
+    FLEET_GEMM_UNIT,
+    SCALE_FLOOR,
+    SCORE_TILE,
+    em_step,
+    gemm_height,
+    score_fleet,
+    score_sequences,
+)
 
 # ---------------------------------------------------------------------------
 # Naive reference implementation of one EM iteration
@@ -238,23 +248,81 @@ class TestLogLikelihoodUnique:
             log_likelihood_unique(model, obs), log_likelihood(model, obs)
         )
 
-    def test_scoring_is_batch_invariant(self):
+    #: 34 and 79 are the served http-window and libcall fleet shapes; 73
+    #: and 81 (N mod 8 = 1, above 64) are shapes whose small GEMMs take a
+    #: different BLAS kernel than the full tile (see ``gemm_height``); 17
+    #: and 80 hit the odd-row edge kernels and the aligned case.
+    @pytest.mark.parametrize("n_states", [17, 34, 73, 79, 80, 81])
+    def test_scoring_is_batch_invariant(self, n_states):
         """A row's score is a pure function of its content: scoring any
         subset of rows — whatever its size or position relative to the
-        fixed-height tiles — is bit-identical to scoring the full batch.
-        n_states=17 deliberately hits the BLAS odd-row edge kernels that
-        make *variable*-height GEMMs position-dependent."""
+        fixed-height tiles, and whatever height its partial tile pads to —
+        is bit-identical to scoring the full batch."""
         rng = np.random.default_rng(4)
-        model = random_model([f"s{i}" for i in range(24)], n_states=17, seed=6)
+        model = random_model(
+            [f"s{i}" for i in range(24)], n_states=n_states, seed=6
+        )
         obs = rng.integers(0, 24, size=(SCORE_TILE * 2 + 300, 12))
         full = score_sequences(model, obs)
-        for subset in (
-            np.arange(1),  # single row
+        subsets = [
             np.arange(300, 900),  # straddles a tile boundary
             rng.permutation(obs.shape[0])[:777],  # scattered odd count
             np.arange(obs.shape[0]),  # identity
-        ):
+        ]
+        # Tail sizes on both sides of GEMM-unit multiples and of the tile.
+        for size in (1, 7, 8, 9, 15, 505, 511, 513):
+            subsets.append(np.arange(size))
+            subsets.append(rng.permutation(obs.shape[0])[:size])
+        for subset in subsets:
             assert np.array_equal(score_sequences(model, obs[subset]), full[subset])
+
+    @pytest.mark.parametrize("n_states", [34, 49, 73, 79])
+    def test_small_fleet_matches_per_model_scoring(self, n_states):
+        """A fleet drain of a few rows per model scores at a GEMM-unit
+        height; it must still equal each model's own tiled pass (on
+        OpenBLAS a bare multiple-of-8 height gives N = 49 other bits)."""
+        rng = np.random.default_rng(5)
+        models = [
+            random_model([f"s{i}" for i in range(24)], n_states=n_states, seed=s)
+            for s in (1, 2, 3)
+        ]
+        obs_list = [rng.integers(0, 24, size=(k, 15)) for k in (3, 5, 10)]
+        for model, obs, got in zip(models, obs_list, score_fleet(models, obs_list)):
+            assert got.tobytes() == score_sequences(model, obs).tobytes()
+
+    def test_fleet_batches_taller_than_a_tile(self):
+        rng = np.random.default_rng(6)
+        models = [
+            random_model([f"s{i}" for i in range(8)], n_states=34, seed=s)
+            for s in (1, 2)
+        ]
+        obs_list = [rng.integers(0, 8, size=(k, 6)) for k in (SCORE_TILE + 9, 3)]
+        for model, obs, got in zip(models, obs_list, score_fleet(models, obs_list)):
+            assert got.tobytes() == score_sequences(model, obs).tobytes()
+
+
+class TestGemmHeight:
+    @pytest.mark.parametrize("n_states", [2, 17, 34, 73, 79, 80])
+    def test_heights_are_gemm_units_or_the_tile(self, n_states):
+        for rows in range(1, SCORE_TILE + 1):
+            height = gemm_height(rows, n_states)
+            unit = -(-rows // FLEET_GEMM_UNIT) * FLEET_GEMM_UNIT
+            assert height in (unit, SCORE_TILE)
+
+    @pytest.mark.parametrize("n_states", [17, 34, 49, 73, 79, 80])
+    def test_chosen_heights_are_per_row_bit_identical_to_the_tile(self, n_states):
+        rng = np.random.default_rng(n_states)
+        operand = rng.random((SCORE_TILE, n_states))
+        transition = random_model(["a"], n_states=n_states, seed=1).transition
+        full = operand @ transition
+        for height in {gemm_height(rows, n_states) for rows in range(1, SCORE_TILE)}:
+            assert np.array_equal(operand[:height] @ transition, full[:height])
+
+    def test_full_blocks_and_small_tiles(self):
+        assert gemm_height(SCORE_TILE, 34) == SCORE_TILE
+        assert gemm_height(SCORE_TILE - 1, 34) == SCORE_TILE
+        assert gemm_height(3, 34, tile=4) == 4
+        assert gemm_height(1, 34, tile=1) == 1
 
 
 @st.composite

@@ -536,6 +536,22 @@ class TestFactories:
         assert isinstance(api.open_service(), DetectionService)
 
 
+class TestSwapReleasesTheOldReference:
+    def test_same_model_swaps_do_not_leak_references(self, sharded, detector):
+        service = sharded(1)
+        after_register = service._store.refcount(detector.model)
+        for _ in range(3):
+            service.swap_detector("d", detector)
+        assert service._store.refcount(detector.model) == after_register
+
+    def test_different_model_swap_frees_the_old_segment(self, sharded, detector):
+        service = sharded(1)
+        retrained = random_model(SYMBOLS, n_states=4, seed=13)
+        service.swap_detector("d", load_pretrained(retrained, name="d"))
+        assert service._store.refcount(detector.model) == 0
+        assert service._store.refcount(retrained) == 1
+
+
 class TestWarmSwapSharded:
     """Registry-driven warm-swap across the fleet, including crash-restart:
     a shard restarted *after* a swap must rebuild from the swapped-in
